@@ -8,9 +8,9 @@ import repro.stream.MicroBatchPimJoin.Config
 
 import Harness._
 
-/** T18 — the Spark layer: the PIM-Tree join run per key-range partition
-  * inside Dataset operations over micro-batches (the calibration hint's
-  * target shape). Reports throughput vs partition count and cross-checks
+/** T18 — the Spark layer: the PIM-Tree join run per key-range partition,
+  * one Spark task each, over micro-batches (the calibration hint's target
+  * shape). Reports throughput vs partition count and cross-checks
   * the result cardinality against the single-threaded reference join.
   */
 object ExperimentsSpark {

@@ -2,26 +2,32 @@ package repro.stream
 
 import java.util.concurrent.ConcurrentHashMap
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.StreamGen.Workload
-import repro.core.{Elem, LongVec}
+import repro.core.{Elem, IntVec, LongVec}
 import repro.index.PIMTree
 
 /** The calibration target: the partitioned in-memory merge-tree join run
-  * per-partition inside `mapPartitions`-style Dataset operations within
+  * per key-range partition, one Spark task per partition, within
   * micro-batches.
   *
   * Keys are range-partitioned into `numPartitions` disjoint intervals
   * (content-sensitive, like PIM-Tree's own partitioning — not round-
   * robin). Each partition owns a [[PartitionJoiner]]: a pair of PIM-Trees
-  * plus window bookkeeping, held in an executor-JVM singleton registry
-  * (valid under `local[*]` where driver and executors share one JVM —
-  * stated in DESIGN.md). Per batch, every tuple is routed to its *home*
-  * partition (which indexes it) and replicated to the partitions whose
-  * range overlaps [x − diff, x + diff] for lookup, so each result pair is
+  * plus window bookkeeping, held in a JVM singleton registry (valid under
+  * `local[*]` where driver and executors share one JVM — stated in
+  * DESIGN.md). Per batch, every tuple is routed to its *home* partition
+  * (which indexes it) and replicated to the partitions whose range
+  * overlaps [x − diff, x + diff] for lookup, so each result pair is
   * produced exactly once, by the later-arriving tuple.
+  *
+  * A batch is routed once, on the driver, into one primitive slice per
+  * partition, and the slices are joined by a single shuffle-free Spark
+  * stage: the batch passes through the driver, which already holds it in
+  * both drivers below.
   *
   * Batches can be driven either directly ([[processBatch]]) or through
   * Structured Streaming micro-batches ([[runStreaming]] via MemoryStream
@@ -50,9 +56,31 @@ object MicroBatchPimJoin {
       insertionDepth: Int = 2,
       selfJoin: Boolean = false,
   ) {
+    require(numPartitions >= 1, s"numPartitions must be >= 1, got $numPartitions")
+    require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
+    require(diff >= 0, s"diff must be >= 0, got $diff")
+    require(keySpace >= 1, s"keySpace must be >= 1, got $keySpace")
+    require(mergeRatio > 0, s"mergeRatio must be > 0, got $mergeRatio")
+
     val partWidth: Int = math.max(1, (keySpace + numPartitions - 1) / numPartitions)
+
+    /** The home partition of key `x`: the one that indexes it. */
     def partOf(x: Int): Int = math.min(numPartitions - 1, math.max(0, x) / partWidth)
+
+    /** The partitions whose key range overlaps x's band [x − diff, x + diff]:
+      * each probes for x, and `partOf(x)` among them also indexes it.
+      */
+    def bandParts(x: Int): Range =
+      partOf(math.max(0, x - diff)) to partOf(math.min(keySpace - 1, x + diff))
   }
+
+  /** Ints per row of a routed slice: sseq, oppHead, x, flags. */
+  private final val RowInts = 4
+  private final val IsRFlag  = 1
+  private final val HomeFlag = 2
+
+  @inline private def packPair(rSeq: Int, sSeq: Int): Long = (rSeq.toLong << 32) | (sSeq & 0xffffffffL)
+  @inline private def unpackPair(p: Long): OutPair = OutPair((p >>> 32).toInt, p.toInt)
 
   /** Single-partition joiner: two PIM-Trees (R and S sides) over the
     * partition's key interval. Single-threaded per partition — Spark's
@@ -69,50 +97,70 @@ object MicroBatchPimJoin {
     private var headS  = -1
     private val out    = new LongVec(64)
 
+    /** Join one arrival (arrivals come in gseq order): probe the opposite
+      * window over x's band, append each result pair to `res` packed as
+      * (rSeq << 32 | sSeq), index the arrival at its home, expire.
+      */
+    private def step(isR: Boolean, sseq: Int, oppHead: Int, x: Int, home: Boolean, res: LongVec): Unit = {
+      val oppIdx = if (cfg.selfJoin) indexR else if (isR) indexS else indexR
+      val oppW   = if (cfg.selfJoin) cfg.wR else if (isR) cfg.wS else cfg.wR
+      if (oppHead >= 0) {
+        val lo = if (x >= cfg.diff) x - cfg.diff else 0
+        val hi = if (x <= Int.MaxValue - cfg.diff) x + cfg.diff else Int.MaxValue
+        val te = math.max(0, oppHead - oppW + 1)
+        out.clear()
+        oppIdx.rangeSearch(lo, hi, out)
+        var j = 0
+        while (j < out.size) {
+          val ref = Elem.ref(out(j))
+          if (ref >= te && ref <= oppHead)
+            res.add(if (isR) packPair(sseq, ref) else packPair(ref, sseq))
+          j += 1
+        }
+      }
+      // track stream heads from both own arrivals and observed oppHeads
+      if (isR) {
+        if (sseq > headR) headR = sseq
+        if (oppHead > headS) headS = oppHead
+      } else {
+        if (sseq > headS) headS = sseq
+        if (oppHead > headR) headR = oppHead
+      }
+      if (home) {
+        val ownIdx = if (cfg.selfJoin || isR) indexR else indexS
+        ownIdx.insert(x, sseq)
+      }
+      indexR.maintain(math.max(0, headR + 1 - cfg.wR))
+      indexS.maintain(math.max(0, headS + 1 - cfg.wS))
+    }
+
+    /** Join one routed slice (see [[processBatch]]); returns the packed pairs. */
+    private[stream] def processSlice(slice: Array[Int]): Array[Long] = {
+      val res = new LongVec(slice.length)
+      var i = 0
+      while (i < slice.length) {
+        val flags = slice(i + 3)
+        step((flags & IsRFlag) != 0, slice(i), slice(i + 1), slice(i + 2), (flags & HomeFlag) != 0, res)
+        i += RowInts
+      }
+      res.toArray
+    }
+
     /** Process one batch slice, pre-sorted by gseq. */
     def process(rows: Iterator[Routed]): Iterator[OutPair] = {
-      val res = Vector.newBuilder[OutPair]
-      rows.foreach { row =>
-        val oppIdx  = if (cfg.selfJoin) indexR else if (row.isR) indexS else indexR
-        val oppW    = if (cfg.selfJoin) cfg.wR else if (row.isR) cfg.wS else cfg.wR
-        if (row.oppHead >= 0) {
-          val lo = if (row.x >= cfg.diff) row.x - cfg.diff else 0
-          val hi = if (row.x <= Int.MaxValue - cfg.diff) row.x + cfg.diff else Int.MaxValue
-          val te = math.max(0, row.oppHead - oppW + 1)
-          out.clear()
-          oppIdx.rangeSearch(lo, hi, out)
-          var j = 0
-          while (j < out.size) {
-            val ref = Elem.ref(out(j))
-            if (ref >= te && ref <= row.oppHead)
-              res += (if (row.isR) OutPair(row.sseq, ref) else OutPair(ref, row.sseq))
-            j += 1
-          }
-        }
-        // track stream heads from both own arrivals and observed oppHeads
-        if (row.isR) {
-          if (row.sseq > headR) headR = row.sseq
-          if (row.oppHead > headS) headS = row.oppHead
-        } else {
-          if (row.sseq > headS) headS = row.sseq
-          if (row.oppHead > headR) headR = row.oppHead
-        }
-        if (row.home) {
-          val ownIdx = if (cfg.selfJoin || row.isR) indexR else indexS
-          ownIdx.insert(row.x, row.sseq)
-        }
-        indexR.maintain(math.max(0, headR + 1 - cfg.wR))
-        indexS.maintain(math.max(0, headS + 1 - cfg.wS))
-      }
-      res.result().iterator
+      val res = new LongVec(64)
+      rows.foreach(r => step(r.isR, r.sseq, r.oppHead, r.x, r.home, res))
+      Iterator.tabulate(res.size)(i => unpackPair(res(i)))
     }
   }
 
-  /** Executor-JVM singleton state, keyed by (jobId, partition). */
+  /** JVM singleton state, keyed by (jobId, partition). */
   object Registry {
     private val joiners = new ConcurrentHashMap[(String, Int), PartitionJoiner]
     def joinerFor(jobId: String, part: Int, cfg: Config): PartitionJoiner =
       joiners.computeIfAbsent((jobId, part), _ => new PartitionJoiner(cfg))
+    /** Number of joiners held for `jobId`. */
+    def registered(jobId: String): Int = joiners.keySet.stream.filter(_._1 == jobId).count.toInt
     def clear(jobId: String): Unit = {
       val it = joiners.keySet.iterator
       while (it.hasNext) if (it.next()._1 == jobId) it.remove()
@@ -124,24 +172,42 @@ object MicroBatchPimJoin {
     */
   def route(t: InTuple, cfg: Config): Seq[Routed] = {
     val home = cfg.partOf(t.x)
-    val loP  = cfg.partOf(math.max(0, t.x - cfg.diff))
-    val hiP  = cfg.partOf(math.min(cfg.keySpace - 1, t.x + cfg.diff))
-    (loP to hiP).map(p => Routed(p, t.gseq, t.isR, t.sseq, t.oppHead, t.x, home = p == home))
+    cfg.bandParts(t.x).map(p => Routed(p, t.gseq, t.isR, t.sseq, t.oppHead, t.x, home = p == home))
   }
 
-  /** One micro-batch: route, range-partition by key interval, run the
-    * per-partition PIM-Tree join inside the partition's task.
+  /** Route a batch, sorted by gseq, into one slice per partition: rows of
+    * [[RowInts]] ints (sseq, oppHead, x, isR/home flags) in gseq order.
+    */
+  private def slices(batch: Array[InTuple], cfg: Config): Array[Array[Int]] = {
+    val parts = Array.fill(cfg.numPartitions)(new IntVec(RowInts * batch.length / cfg.numPartitions + RowInts))
+    batch.foreach { t =>
+      val home  = cfg.partOf(t.x)
+      val flags = if (t.isR) IsRFlag else 0
+      cfg.bandParts(t.x).foreach { p =>
+        val v = parts(p)
+        v.add(t.sseq); v.add(t.oppHead); v.add(t.x)
+        v.add(if (p == home) flags | HomeFlag else flags)
+      }
+    }
+    parts.map(_.toArray)
+  }
+
+  /** One micro-batch, joined before this returns: collect it, route each
+    * tuple once into its partitions' slices, and run every non-empty slice
+    * through its partition's joiner in one shuffle-free Spark stage. The
+    * returned Dataset holds the result pairs locally, so every action on it
+    * sees the same pairs and no action re-runs the join.
     */
   def processBatch(spark: SparkSession, jobId: String, batch: Dataset[InTuple],
                    cfg: Config): Dataset[OutPair] = {
     import spark.implicits._
-    batch
-      .flatMap(t => route(t, cfg))
-      .groupByKey(_.part)
-      .flatMapGroups { (part: Int, rows: Iterator[Routed]) =>
-        val sorted = rows.toArray.sortBy(_.gseq)
-        Registry.joinerFor(jobId, part, cfg).process(sorted.iterator)
-      }
+    val sliced = slices(batch.collect().sortBy(_.gseq), cfg)
+    val sc     = spark.sparkContext
+    val packed = sc.runJob(sc.parallelize(sliced.toSeq, cfg.numPartitions),
+                           (ctx: TaskContext, it: Iterator[Array[Int]]) =>
+                             Registry.joinerFor(jobId, ctx.partitionId(), cfg).processSlice(it.next()),
+                           sliced.indices.filter(sliced(_).nonEmpty))
+    spark.createDataset(packed.flatMap(_.map(unpackPair)).toSeq)
   }
 
   /** Convert a generated workload into arrival tuples. */
@@ -182,8 +248,7 @@ object MicroBatchPimJoin {
         stream.addData(chunk)
         query.processAllAvailable()
       }
-    } finally query.stop()
-    Registry.clear(jobId)
+    } finally try query.stop() finally Registry.clear(jobId)
     import scala.jdk.CollectionConverters._
     collected.asScala.toSeq
   }
@@ -195,10 +260,9 @@ object MicroBatchPimJoin {
                  cfg: Config, batchSize: Int): Seq[OutPair] = {
     import spark.implicits._
     val res = Vector.newBuilder[OutPair]
-    tuples.grouped(batchSize).foreach { chunk =>
+    try tuples.grouped(batchSize).foreach { chunk =>
       res ++= processBatch(spark, jobId, chunk.toDS(), cfg).collect()
-    }
-    Registry.clear(jobId)
+    } finally Registry.clear(jobId)
     res.result()
   }
 }

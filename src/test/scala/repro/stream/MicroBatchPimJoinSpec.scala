@@ -109,6 +109,67 @@ class MicroBatchPimJoinSpec extends SparkSpec {
     assert(got == ref)
   }
 
+  test("processBatch joins each batch once: repeated collects agree") {
+    import spark.implicits._
+    val w    = 64
+    val wl   = workload(1000, 1 << 10, 14)
+    val diff = 12
+    val cfg  = Config(4, w, w, diff, 1 << 10)
+    val got =
+      try MicroBatchPimJoin.toTuples(wl).grouped(250).flatMap { chunk =>
+        val ds     = MicroBatchPimJoin.processBatch(spark, "t-once", chunk.toDS(), cfg)
+        val first  = ds.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
+        val second = ds.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
+        assert(first == second)
+        first
+      }.toVector.sorted
+      finally MicroBatchPimJoin.Registry.clear("t-once")
+    assert(got == TestRefs.referencePairs(wl, w, w, diff).sorted)
+  }
+
+  for (selfJoin <- Seq(false, true)) {
+    test(s"all keys in one partition of 8, 7 slices empty (selfJoin=$selfJoin)") {
+      val w    = 64
+      val diff = 10
+      val cfg  = Config(8, w, w, diff, 1 << 10, selfJoin = selfJoin)
+      // keys in [280, 360): every band stays inside partition 2 = [256, 384)
+      def keys(n: Int, seed: Long) = StreamGen.uniform(n, 80, seed).map(_ + 280)
+      val wl =
+        if (selfJoin) StreamGen.selfJoin(keys(1200, 15))
+        else StreamGen.twoWay(keys(600, 15), keys(600, 65))
+      val tuples = MicroBatchPimJoin.toTuples(wl, selfJoin)
+      assert(tuples.flatMap(MicroBatchPimJoin.route(_, cfg)).map(_.part).toSet == Set(2))
+      val got = MicroBatchPimJoin
+        .runBatches(spark, s"t-skew-$selfJoin", tuples, cfg, 300)
+        .map(p => (p.rSeq, p.sSeq)).sorted.toVector
+      assert(got == TestRefs.referencePairs(wl, w, w, diff, selfJoin).sorted)
+    }
+  }
+
+  test("Config rejects bad parameters at construction") {
+    val bad: Seq[() => Config] = Seq(
+      () => Config(0, 16, 16, 4, 1 << 8),
+      () => Config(2, 0, 16, 4, 1 << 8),
+      () => Config(2, 16, 0, 4, 1 << 8),
+      () => Config(2, 16, 16, -1, 1 << 8),
+      () => Config(2, 16, 16, 4, 0),
+      () => Config(2, 16, 16, 4, 1 << 8, mergeRatio = 0.0),
+      () => Config(2, 16, 16, 4, 1 << 8, mergeRatio = Double.NaN),
+    )
+    bad.foreach(mk => assertThrows[IllegalArgumentException](mk()))
+    val e = intercept[IllegalArgumentException](Config(2, 16, 16, -3, 1 << 8))
+    assert(e.getMessage.contains("diff"))
+  }
+
+  test("a failing run leaves no joiner registered") {
+    val cfg    = Config(2, 16, 16, 4, 1 << 8)
+    val tuples = MicroBatchPimJoin.toTuples(workload(100, 1 << 8, 16))
+    // the input fails after the first batch has registered its joiners
+    val failing = LazyList.tabulate(tuples.size)(i => if (i < 50) tuples(i) else sys.error("input lost"))
+    assertThrows[RuntimeException](MicroBatchPimJoin.runBatches(spark, "t-fail", failing, cfg, 50))
+    assert(MicroBatchPimJoin.Registry.registered("t-fail") == 0)
+  }
+
   test("registry isolates jobs and clears state") {
     val cfg = Config(2, 16, 16, 4, 1 << 8)
     val j1  = MicroBatchPimJoin.Registry.joinerFor("job-a", 0, cfg)
