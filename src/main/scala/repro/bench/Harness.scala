@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.StreamGen
 import repro.StreamGen.Workload
+import repro.core.Band
 import repro.index._
 import repro.join._
 
@@ -78,11 +79,10 @@ object Harness {
     java.util.Arrays.sort(window)
     val probes = keys.slice(math.min(w, keys.length), math.min(w + 2000, keys.length))
     def avgMatches(diff: Int): Double = {
+      val band  = Band(diff)
       var total = 0L
       probes.foreach { k =>
-        val lo = lowerBound(window, k - diff)
-        val hi = upperBound(window, k + diff)
-        total += hi - lo
+        total += upperBound(window, band.hi(k)) - lowerBound(window, band.lo(k))
       }
       total.toDouble / math.max(1, probes.length)
     }

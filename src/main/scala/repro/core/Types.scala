@@ -6,8 +6,8 @@ package repro.core
   * A window element is a pair (key, ref) of 32-bit ints — the paper uses
   * 4-byte keys and 4-byte sliding-window references (Fig. 11a). We pack the
   * pair into one Long with the key in the high 32 bits so that sorting an
-  * `Array[Long]` orders elements by key, then by ref. Keys and refs must be
-  * non-negative for the packed ordering to match the unpacked one.
+  * `Array[Long]` orders elements by key, then by ref. Any `Int` key orders
+  * correctly; refs must be non-negative (they are stream seqs).
   */
 object Elem {
   /** Pack (key, ref) into a single sortable Long. */

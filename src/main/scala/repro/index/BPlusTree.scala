@@ -5,7 +5,7 @@ import repro.core.{Elem, LongVec, Telemetry}
 /** Classic mutable in-memory B+-Tree with explicit child references — the
   * reproduction of the paper's STX-B+-Tree substrate [26].
   *
-  * Keys are non-negative Ints and may repeat (streaming keys collide);
+  * Keys are any Ints and may repeat (streaming keys collide);
   * values are sliding-window references (Ints). Leaves are chained for
   * range scans. Routing goes left on key equality for searches (so a range
   * scan starting at `lo` finds duplicates that straddle a split) and right

@@ -56,8 +56,11 @@ final class BwTree(
     m
   }
 
+  /** The leaf whose key range holds `key`; keys below 0 or at or above
+    * `keySpace` belong to the first or last leaf.
+    */
   @inline private def leafOf(key: Int): Int =
-    math.min(numLeaves - 1, (key.toLong / rangeWidth).toInt)
+    math.min(numLeaves - 1, math.max(0, key) / rangeWidth).toInt
 
   override def name: String = "Bw-Tree"
 
@@ -119,8 +122,8 @@ final class BwTree(
   }
 
   override def rangeSearch(lo: Int, hi: Int, out: LongVec): Unit = {
-    var slot = leafOf(math.max(lo, 0))
-    val last = leafOf(math.min(hi, keySpace - 1))
+    var slot = leafOf(lo)
+    val last = leafOf(hi)
     val deleted = new LongVec(8)
     while (slot <= last) {
       deleted.clear()

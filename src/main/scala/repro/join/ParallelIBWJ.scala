@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerA
 import java.util.concurrent.locks.ReentrantLock
 
 import repro.StreamGen.Workload
-import repro.core.{Elem, LongVec}
+import repro.core.{Arrivals, Band, Elem, IntVec, LongVec}
 import repro.index.{PIMTree, WindowIndex}
 
 /** Parallel index-based window join over *shared* indexes — the Section 4
@@ -52,35 +52,11 @@ final class ParallelIBWJ(
   private val n = workload.length
   @volatile private var steadyStart: Long = 0
 
-  // ---- precomputed arrival geometry (count-based window boundaries) ----
-  /** stream-local sequence number of arrival i */
-  private val streamSeq = new Array[Int](n)
-  /** t_l: latest opposite-stream seq arrived before i (-1 if none) */
-  private val oppHead = new Array[Int](n)
-  /** per-stream key arrays addressed by stream seq */
-  private val keysR: Array[Int] = {
-    var c = 0; var i = 0
-    while (i < n) { if (workload.fromR(i) || selfJoin) c += 1; i += 1 }
-    new Array[Int](c)
-  }
-  private val keysS: Array[Int] =
-    if (selfJoin) keysR
-    else new Array[Int](n - keysR.length)
+  private val band     = Band(diff)
+  private val arrivals = Arrivals(workload, selfJoin)
+  import arrivals.{keysR, keysS, oppHead, streamSeq}
   val totalR: Int = keysR.length
-  val totalS: Int = if (selfJoin) keysR.length else keysS.length
-  locally {
-    var r = 0; var s = 0; var i = 0
-    while (i < n) {
-      if (selfJoin) {
-        streamSeq(i) = r; oppHead(i) = r - 1; keysR(r) = workload.keys(i); r += 1
-      } else if (workload.fromR(i)) {
-        streamSeq(i) = r; oppHead(i) = s - 1; keysR(r) = workload.keys(i); r += 1
-      } else {
-        streamSeq(i) = s; oppHead(i) = r - 1; keysS(s) = workload.keys(i); s += 1
-      }
-      i += 1
-    }
-  }
+  val totalS: Int = keysS.length
 
   // ---- shared mutable state -------------------------------------------
   private val StatusAvailable  = 0
@@ -121,17 +97,9 @@ final class ParallelIBWJ(
   // been *propagated* (propagation is in arrival order), all earlier
   // probes are complete and e is dead. Deleting eagerly instead loses
   // results for in-flight older probes — a real race caught in tests.
-  /** arrival index of each stream-R seq */
-  private val arrIdxOfR = new Array[Int](math.max(1, totalR))
-  private val arrIdxOfS = if (selfJoin) arrIdxOfR else new Array[Int](math.max(1, totalS))
-  locally {
-    var i = 0
-    while (i < n) {
-      if (selfJoin || workload.fromR(i)) arrIdxOfR(streamSeq(i)) = i
-      else arrIdxOfS(streamSeq(i)) = i
-      i += 1
-    }
-  }
+  // Merging indexes never expire incrementally, so they need no arrival index.
+  private val arrIdxOfR = if (mergeCapable) null else arrivals.arrivalIndex(r = true)
+  private val arrIdxOfS = if (mergeCapable || selfJoin) arrIdxOfR else arrivals.arrivalIndex(r = false)
   private val expLockR = new ReentrantLock
   private val expLockS = if (selfJoin) expLockR else new ReentrantLock
   private var nextExpR = 0 // guarded by expLockR
@@ -172,7 +140,7 @@ final class ParallelIBWJ(
 
   private def workerLoop(sink: ResultSink): Unit = {
     val out = new LongVec(64)
-    val acc = new repro.core.IntVec(64)
+    val acc = new IntVec(64)
     while (propHead.get < n) {
       if (mergeCapable && !mergeOwner.get && needsAnyMerge && mergeOwner.compareAndSet(false, true)) {
         try runMerge()
@@ -202,18 +170,17 @@ final class ParallelIBWJ(
     * comment above) — non-merging shared indexes only.
     */
   private def tryExpire(): Unit = {
-    expireSide(expLockR, indexR, keysR, wR, totalR, isR = true)
-    if (!selfJoin) expireSide(expLockS, indexS, keysS, wS, totalS, isR = false)
+    expireSide(expLockR, indexR, keysR, arrIdxOfR, wR, isR = true)
+    if (!selfJoin) expireSide(expLockS, indexS, keysS, arrIdxOfS, wS, isR = false)
   }
 
   private def expireSide(lock: ReentrantLock, idx: WindowIndex, keys: Array[Int],
-                         w: Int, total: Int, isR: Boolean): Unit = {
+                         arrIdx: Array[Int], w: Int, isR: Boolean): Unit = {
     if (lock.tryLock()) {
       try {
-        val ph     = propHead.get
-        val arrIdx = if (isR) arrIdxOfR else arrIdxOfS
-        var e      = if (isR) nextExpR else nextExpS
-        while (e + w < total && arrIdx(e + w) < ph) {
+        val ph = propHead.get
+        var e  = if (isR) nextExpR else nextExpS
+        while (e + w < keys.length && arrIdx(e + w) < ph) {
           idx.expire(keys(e), e)
           e += 1
         }
@@ -241,7 +208,7 @@ final class ParallelIBWJ(
         val now = if (trackLatency) System.nanoTime() else 0L
         while (i < end) {
           if (trackLatency) acquiredAt(i) = now
-          if (selfJoin || workload.fromR(i)) assignedR += 1 else assignedS += 1
+          if (arrivals.isR(i)) assignedR += 1 else assignedS += 1
           i += 1
         }
         // counted inside the lock so the merger's quiescence wait is exact
@@ -252,24 +219,20 @@ final class ParallelIBWJ(
   }
 
   /** Result generation + index update for one arrival (steps 2–3). */
-  private def processArrival(i: Int, out: LongVec, acc: repro.core.IntVec): Unit = {
-    val isR  = selfJoin || workload.fromR(i)
-    val k    = workload.keys(i)
-    val seq  = streamSeq(i)
-    val oppIsR = if (selfJoin) true else !isR
-    val oppIdx  = if (selfJoin) indexR else if (isR) indexS else indexR
+  private def processArrival(i: Int, out: LongVec, acc: IntVec): Unit = {
+    val isR     = arrivals.isR(i)
+    val k       = arrivals.key(i)
+    val seq     = streamSeq(i)
+    val oppIsR  = arrivals.probesR(i)
     val oppKeys = if (oppIsR) keysR else keysS
-    val oppW    = if (oppIsR) wR else wS
     val tl      = oppHead(i)
-    val te      = math.max(0, tl - oppW + 1)
+    val te      = Arrivals.windowStart(tl, if (oppIsR) wR else wS)
     val edge    = if (oppIsR) edgeR.get else edgeS.get // snapshot before probing
 
     acc.clear()
     if (tl >= 0) {
-      val lo = if (k >= diff) k - diff else 0
-      val hi = if (k <= Int.MaxValue - diff) k + diff else Int.MaxValue
       out.clear()
-      oppIdx.rangeSearch(lo, hi, out)
+      idxFor(oppIsR).rangeSearch(band.lo(k), band.hi(k), out)
       var j = 0
       while (j < out.size) {
         val ref = Elem.ref(out(j))
@@ -281,7 +244,7 @@ final class ParallelIBWJ(
       val scanFrom = math.max(te, edge)
       var s = scanFrom
       while (s <= tl) {
-        if (math.abs(oppKeys(s).toLong - k) <= diff) acc.add(s)
+        if (band.matches(oppKeys(s), k)) acc.add(s)
         s += 1
       }
       // non-indexed window region is read linearly (Fig. 11d: this grows
@@ -333,7 +296,7 @@ final class ParallelIBWJ(
       try {
         var h = propHead.get
         while (h < n && statuses.get(h) == StatusCompleted) {
-          val isR  = selfJoin || workload.fromR(h)
+          val isR  = arrivals.isR(h)
           val seq  = streamSeq(h)
           val res  = results(h)
           var j = 0
@@ -402,8 +365,7 @@ final class ParallelIBWJ(
         val packed = p.longValue()
         val isR    = (packed & (1L << 40)) != 0
         val seq    = (packed & 0xffffffffL).toInt
-        val keys   = if (isR) keysR else keysS
-        idxFor(isR).insert(keys(seq), seq)
+        idxFor(isR).insert(arrivals.keys(isR)(seq), seq)
         (if (isR) indexedR else indexedS).set(seq, 1)
         p = pendingInserts.poll()
       }

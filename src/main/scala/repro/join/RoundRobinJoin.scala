@@ -4,7 +4,7 @@ import java.util.concurrent.CyclicBarrier
 import java.util.concurrent.atomic.AtomicLong
 
 import repro.StreamGen.Workload
-import repro.core.{Elem, LongVec}
+import repro.core.{Arrivals, Band, LongVec}
 import repro.index.BPlusTree
 
 /** Context-insensitive (round-robin) window partitioning — the structure
@@ -30,8 +30,9 @@ object RoundRobinJoin {
   def ibwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
            fanout: Int = 16, blockSize: Int = 1024, timedFrom: Int = 0): JoinStats = {
     require(cores >= 1)
-    val n = workload.length
-    val (keysR, keysS, streamSeq) = materialize(workload)
+    val band        = Band(diff)
+    val a           = Arrivals(workload)
+    val n           = a.length
     val resultTotal = new AtomicLong(0)
     val barrier     = new CyclicBarrier(cores)
     val steadyStart = new AtomicLong(0)
@@ -49,35 +50,21 @@ object RoundRobinJoin {
           var i   = block
           while (i < end) {
             if (i == timedFrom && core == 0) steadyStart.set(System.nanoTime())
-            val isR = workload.fromR(i)
-            val k   = workload.keys(i)
-            val seq = streamSeq(i)
+            val isR = a.isR(i)
+            val k   = a.key(i)
+            val seq = a.streamSeq(i)
             if (i >= timedFrom) {
               // search: this core's share of the opposite window
-              val opp = if (isR) localS else localR
-              val lo  = if (k >= diff) k - diff else 0
-              val hi  = if (k <= Int.MaxValue - diff) k + diff else Int.MaxValue
               out.clear()
-              opp.rangeSearch(lo, hi, out)
+              (if (isR) localS else localR).rangeSearch(band.lo(k), band.hi(k), out)
               res += out.size // local indexes hold only live tuples
             }
-            // owner core updates its local index of the arrival's stream
-            if (seq % cores == core) {
-              val own  = if (isR) localR else localS
-              val ownW = if (isR) wR else wS
-              val exp  = seq - ownW
-              if (exp >= 0 && exp % cores == core)
-                own.delete((if (isR) keysR else keysS)(exp), exp)
-              own.insert(k, seq)
-            } else {
-              // expired tuple owned by this core but arrival owned by another
-              val ownW = if (isR) wR else wS
-              val exp  = seq - ownW
-              if (exp >= 0 && exp % cores == core) {
-                val own = if (isR) localR else localS
-                own.delete((if (isR) keysR else keysS)(exp), exp)
-              }
-            }
+            // this core deletes the expired tuple and indexes the arrival
+            // only where it owns their seqs
+            val own = if (isR) localR else localS
+            val exp = seq - (if (isR) wR else wS)
+            if (exp >= 0 && exp % cores == core) own.delete(a.keys(isR)(exp), exp)
+            if (seq % cores == core) own.insert(k, seq)
             i += 1
           }
           barrier.await()
@@ -99,21 +86,12 @@ object RoundRobinJoin {
   def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
            blockSize: Int = 1024, timedFrom: Int = 0): JoinStats = {
     require(cores >= 1)
-    val n = workload.length
-    val (keysR, keysS, streamSeq) = materialize(workload)
+    val band        = Band(diff)
+    val a           = Arrivals(workload)
+    val n           = a.length
     val resultTotal = new AtomicLong(0)
     val barrier     = new CyclicBarrier(cores)
     val steadyStart = new AtomicLong(0)
-    // opposite-head per arrival, to bound the scan
-    val oppHead = new Array[Int](n)
-    locally {
-      var r = 0; var s = 0; var i = 0
-      while (i < n) {
-        if (workload.fromR(i)) { oppHead(i) = s - 1; r += 1 }
-        else { oppHead(i) = r - 1; s += 1 }
-        i += 1
-      }
-    }
 
     val t0 = System.nanoTime()
     val threads = (0 until cores).map { core =>
@@ -125,17 +103,16 @@ object RoundRobinJoin {
           var i   = block
           while (i < end) {
             if (i == timedFrom && core == 0) steadyStart.set(System.nanoTime())
-            val isR     = workload.fromR(i)
-            val k       = workload.keys(i)
-            val oppKeys = if (isR) keysS else keysR
-            val oppW    = if (isR) wS else wR
-            val tl      = oppHead(i)
+            val oppR = a.probesR(i)
+            val k    = a.key(i)
+            val tl   = a.oppHead(i)
             if (tl >= 0 && i >= timedFrom) {
-              val te = math.max(0, tl - oppW + 1)
+              val oppKeys = a.keys(oppR)
+              val te      = Arrivals.windowStart(tl, if (oppR) wR else wS)
               // start at the first owned seq >= te
               var j = te + ((core - te % cores + cores) % cores)
               while (j <= tl) {
-                if (math.abs(oppKeys(j).toLong - k) <= diff) res += 1
+                if (band.matches(oppKeys(j), k)) res += 1
                 j += cores
               }
             }
@@ -152,22 +129,5 @@ object RoundRobinJoin {
     threads.foreach(_.join())
     val from = if (steadyStart.get == 0) t0 else steadyStart.get
     JoinStats(n - math.min(timedFrom, n), resultTotal.get, System.nanoTime() - from)
-  }
-
-  private def materialize(workload: Workload): (Array[Int], Array[Int], Array[Int]) = {
-    val n = workload.length
-    var c = 0; var i = 0
-    while (i < n) { if (workload.fromR(i)) c += 1; i += 1 }
-    val keysR     = new Array[Int](c)
-    val keysS     = new Array[Int](n - c)
-    val streamSeq = new Array[Int](n)
-    var r = 0; var s = 0
-    i = 0
-    while (i < n) {
-      if (workload.fromR(i)) { keysR(r) = workload.keys(i); streamSeq(i) = r; r += 1 }
-      else { keysS(s) = workload.keys(i); streamSeq(i) = s; s += 1 }
-      i += 1
-    }
-    (keysR, keysS, streamSeq)
   }
 }

@@ -1,7 +1,7 @@
 package repro.join
 
 import repro.StreamGen.Workload
-import repro.core.{Elem, IntVec, LongVec, Telemetry}
+import repro.core.{Arrivals, Band, Elem, LongVec, Telemetry}
 import repro.index.WindowIndex
 
 /** Per-step time accounting for the cost-breakdown experiment (Fig. 9b).
@@ -33,30 +33,30 @@ object SingleThreadedJoin {
     */
   def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, sink: ResultSink,
            selfJoin: Boolean = false, timedFrom: Int = 0): JoinStats = {
-    val n     = workload.length
-    val keysR = new IntVec(n)
-    val keysS = if (selfJoin) keysR else new IntVec(n)
-    var res   = 0L
-    var t0    = System.nanoTime()
-    var i     = 0
+    val band = Band(diff)
+    val a    = Arrivals(workload, selfJoin)
+    val n    = a.length
+    var res  = 0L
+    var t0   = System.nanoTime()
+    var i    = 0
     while (i < n) {
       if (i == timedFrom) t0 = System.nanoTime()
-      val fromR = workload.fromR(i) && !selfJoin
-      val k     = workload.keys(i)
       if (i >= timedFrom) {
-        val (oppKeys, oppW) = if (fromR || selfJoin) (keysS, wS) else (keysR, wR)
-        val tl = oppKeys.size - 1
-        var j  = math.max(0, oppKeys.size - oppW)
+        val isR     = a.isR(i)
+        val k       = a.key(i)
+        val seq     = a.streamSeq(i)
+        val oppR    = a.probesR(i)
+        val oppKeys = a.keys(oppR)
+        val tl      = a.oppHead(i)
+        var j       = Arrivals.windowStart(tl, if (oppR) wR else wS)
         while (j <= tl) {
-          if (math.abs(oppKeys(j).toLong - k) <= diff) {
+          if (band.matches(oppKeys(j), k)) {
             res += 1
-            if (fromR || selfJoin) sink.emit(keysR.size, j)
-            else sink.emit(j, keysS.size)
+            if (isR) sink.emit(seq, j) else sink.emit(j, seq)
           }
           j += 1
         }
       }
-      if (fromR || selfJoin) keysR.add(k) else keysS.add(k)
       i += 1
     }
     JoinStats(n - timedFrom, res, System.nanoTime() - t0)
@@ -75,34 +75,35 @@ object SingleThreadedJoin {
            indexR: WindowIndex, indexS: WindowIndex, sink: ResultSink,
            selfJoin: Boolean = false, timers: StepTimers = null,
            timedFrom: Int = 0): JoinStats = {
-    val n     = workload.length
-    val keysR = new IntVec(math.max(16, n / 2 + 2))
-    val keysS = if (selfJoin) keysR else new IntVec(math.max(16, n / 2 + 2))
+    val band  = Band(diff)
+    val a     = Arrivals(workload, selfJoin)
+    val n     = a.length
     val out   = new LongVec(64)
+    val empty = new LongVec(1)
     var res   = 0L
     var t0    = System.nanoTime()
     var i     = 0
     while (i < n) {
       if (i == timedFrom) t0 = System.nanoTime()
-      val tm       = if (i >= timedFrom) timers else null
-      val fromR    = workload.fromR(i) && !selfJoin
-      val k        = workload.keys(i)
-      val probeSelf = selfJoin
-      val (oppIdx, oppKeys, oppW) =
-        if (fromR) (indexS, keysS, wS)
-        else if (probeSelf) (indexR, keysR, wR)
-        else (indexR, keysR, wR)
-      val (ownIdx, ownKeys, ownW) =
-        if (fromR || probeSelf) (indexR, keysR, wR) else (indexS, keysS, wS)
+      val tm     = if (i >= timedFrom) timers else null
+      val isR    = a.isR(i)
+      val k      = a.key(i)
+      val seq    = a.streamSeq(i)
+      val oppR   = a.probesR(i)
+      val oppIdx = if (oppR) indexR else indexS
+      val ownIdx = if (isR) indexR else indexS
+      val ownW   = if (isR) wR else wS
 
       // Step 1: probe
-      val oppValidFrom = math.max(0, oppKeys.size - oppW)
-      val lo = if (k >= diff) k - diff else 0
-      val hi = if (k <= Int.MaxValue - diff) k + diff else Int.MaxValue
+      val oppValidFrom = Arrivals.windowStart(a.oppHead(i), if (oppR) wR else wS)
+      val lo = band.lo(k)
+      val hi = band.hi(k)
       out.clear()
       if (tm != null) {
+        // traversal only: an empty range at lo (lo + 1 when lo - 1 would wrap)
+        val tlo = math.max(lo, Int.MinValue + 1)
         var t = System.nanoTime()
-        oppIdx.rangeSearch(lo, lo - 1, new LongVec(1)) // traversal only
+        oppIdx.rangeSearch(tlo, tlo - 1, empty)
         val t1 = System.nanoTime()
         tm.searchNanos += t1 - t
         t = t1
@@ -114,35 +115,33 @@ object SingleThreadedJoin {
         val ref = Elem.ref(out(j))
         if (ref >= oppValidFrom) {
           res += 1
-          if (fromR || probeSelf) sink.emit(ownKeys.size, ref) else sink.emit(ref, ownKeys.size)
+          if (isR) sink.emit(seq, ref) else sink.emit(ref, seq)
           Telemetry.load(8)
         }
         j += 1
       }
 
       // Step 2: expire (incremental indexes delete; others flag-only)
-      val seq = ownKeys.size
       if (seq >= ownW) {
         val exp = seq - ownW
         if (tm != null) {
           val t = System.nanoTime()
-          ownIdx.expire(ownKeys(exp), exp)
+          ownIdx.expire(a.keys(isR)(exp), exp)
           tm.deleteNanos += System.nanoTime() - t
-        } else ownIdx.expire(ownKeys(exp), exp)
+        } else ownIdx.expire(a.keys(isR)(exp), exp)
       }
 
       // Step 3: insert + maintenance
-      ownKeys.add(k)
       if (tm != null) {
         var t = System.nanoTime()
         ownIdx.insert(k, seq)
         val t1 = System.nanoTime()
         tm.insertNanos += t1 - t
-        ownIdx.maintain(math.max(0, ownKeys.size - ownW))
+        ownIdx.maintain(Arrivals.windowStart(seq, ownW))
         tm.mergeNanos += System.nanoTime() - t1
       } else {
         ownIdx.insert(k, seq)
-        ownIdx.maintain(math.max(0, ownKeys.size - ownW))
+        ownIdx.maintain(Arrivals.windowStart(seq, ownW))
       }
       Telemetry.store(8)
       i += 1

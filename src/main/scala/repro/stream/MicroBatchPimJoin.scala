@@ -7,7 +7,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.StreamGen.Workload
-import repro.core.{Elem, IntVec, LongVec}
+import repro.core.{Arrivals, Band, Elem, IntVec, LongVec}
 import repro.index.PIMTree
 
 /** The calibration target: the partitioned in-memory merge-tree join run
@@ -58,20 +58,21 @@ object MicroBatchPimJoin {
   ) {
     require(numPartitions >= 1, s"numPartitions must be >= 1, got $numPartitions")
     require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
-    require(diff >= 0, s"diff must be >= 0, got $diff")
     require(keySpace >= 1, s"keySpace must be >= 1, got $keySpace")
     require(mergeRatio > 0, s"mergeRatio must be > 0, got $mergeRatio")
+    private[stream] val band = Band(diff)
 
     val partWidth: Int = math.max(1, (keySpace + numPartitions - 1) / numPartitions)
 
-    /** The home partition of key `x`: the one that indexes it. */
+    /** The home partition of key `x`: the one that indexes it. Keys below 0
+      * or at or above `keySpace` belong to the first or last partition.
+      */
     def partOf(x: Int): Int = math.min(numPartitions - 1, math.max(0, x) / partWidth)
 
     /** The partitions whose key range overlaps x's band [x − diff, x + diff]:
       * each probes for x, and `partOf(x)` among them also indexes it.
       */
-    def bandParts(x: Int): Range =
-      partOf(math.max(0, x - diff)) to partOf(math.min(keySpace - 1, x + diff))
+    def bandParts(x: Int): Range = partOf(band.lo(x)) to partOf(band.hi(x))
   }
 
   /** Ints per row of a routed slice: sseq, oppHead, x, flags. */
@@ -102,14 +103,11 @@ object MicroBatchPimJoin {
       * (rSeq << 32 | sSeq), index the arrival at its home, expire.
       */
     private def step(isR: Boolean, sseq: Int, oppHead: Int, x: Int, home: Boolean, res: LongVec): Unit = {
-      val oppIdx = if (cfg.selfJoin) indexR else if (isR) indexS else indexR
-      val oppW   = if (cfg.selfJoin) cfg.wR else if (isR) cfg.wS else cfg.wR
+      val oppR = cfg.selfJoin || !isR
       if (oppHead >= 0) {
-        val lo = if (x >= cfg.diff) x - cfg.diff else 0
-        val hi = if (x <= Int.MaxValue - cfg.diff) x + cfg.diff else Int.MaxValue
-        val te = math.max(0, oppHead - oppW + 1)
+        val te = Arrivals.windowStart(oppHead, if (oppR) cfg.wR else cfg.wS)
         out.clear()
-        oppIdx.rangeSearch(lo, hi, out)
+        (if (oppR) indexR else indexS).rangeSearch(cfg.band.lo(x), cfg.band.hi(x), out)
         var j = 0
         while (j < out.size) {
           val ref = Elem.ref(out(j))
@@ -130,8 +128,8 @@ object MicroBatchPimJoin {
         val ownIdx = if (cfg.selfJoin || isR) indexR else indexS
         ownIdx.insert(x, sseq)
       }
-      indexR.maintain(math.max(0, headR + 1 - cfg.wR))
-      indexS.maintain(math.max(0, headS + 1 - cfg.wS))
+      indexR.maintain(Arrivals.windowStart(headR, cfg.wR))
+      indexS.maintain(Arrivals.windowStart(headS, cfg.wS))
     }
 
     /** Join one routed slice (see [[processBatch]]); returns the packed pairs. */
@@ -212,16 +210,8 @@ object MicroBatchPimJoin {
 
   /** Convert a generated workload into arrival tuples. */
   def toTuples(workload: Workload, selfJoin: Boolean = false): Seq[InTuple] = {
-    val n   = workload.length
-    val out = Vector.newBuilder[InTuple]
-    var r = 0; var s = 0; var i = 0
-    while (i < n) {
-      if (selfJoin) { out += InTuple(i.toLong, isR = true, r, r - 1, workload.keys(i)); r += 1 }
-      else if (workload.fromR(i)) { out += InTuple(i.toLong, isR = true, r, s - 1, workload.keys(i)); r += 1 }
-      else { out += InTuple(i.toLong, isR = false, s, r - 1, workload.keys(i)); s += 1 }
-      i += 1
-    }
-    out.result()
+    val a = Arrivals(workload, selfJoin)
+    Vector.tabulate(a.length)(i => InTuple(i.toLong, a.isR(i), a.streamSeq(i), a.oppHead(i), a.key(i)))
   }
 
   /** Drive the join through Structured Streaming: a MemoryStream fed in

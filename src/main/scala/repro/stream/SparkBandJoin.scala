@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.StreamGen.Workload
+import repro.core.Arrivals
 
 /** DataFrame-level band joins (Catalyst) and the workload → DataFrame
   * bridge used by the DuckDB oracle checks.
@@ -50,17 +51,9 @@ object SparkBandJoin {
     */
   def toDataFrames(spark: SparkSession, workload: Workload): (DataFrame, DataFrame) = {
     import spark.implicits._
-    val n  = workload.length
-    val rs = Vector.newBuilder[(Int, Int, Int, Int)]
-    val ss = Vector.newBuilder[(Int, Int, Int, Int)]
-    var rSeq = 0; var sSeq = 0; var i = 0
-    while (i < n) {
-      if (workload.fromR(i)) { rs += ((rSeq, workload.keys(i), i, sSeq - 1)); rSeq += 1 }
-      else { ss += ((sSeq, workload.keys(i), i, rSeq - 1)); sSeq += 1 }
-      i += 1
-    }
-    val r = rs.result().toDF("rid", "rx", "rgseq", "rh")
-    val s = ss.result().toDF("sid", "sx", "sgseq", "sh")
-    (r, s)
+    val a      = Arrivals(workload)
+    val (r, s) = (0 until a.length).partition(a.isR)
+    def rows(is: Seq[Int]) = is.map(i => (a.streamSeq(i), a.key(i), i, a.oppHead(i)))
+    (rows(r).toDF("rid", "rx", "rgseq", "rh"), rows(s).toDF("sid", "sx", "sgseq", "sh"))
   }
 }

@@ -28,6 +28,15 @@ class TypesSpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("packed order equals (key, ref) order over the full Int key domain") {
+    val anyKey = Gen.chooseNum(Int.MinValue, Int.MaxValue, -1, 0)
+    checkProp(Prop.forAll(anyKey, nonNeg, anyKey, nonNeg) { (k1, r1, k2, r2) =>
+      val (e1, e2) = (Elem.pack(k1, r1), Elem.pack(k2, r2))
+      Elem.key(e1) == k1 && Elem.ref(e1) == r1 &&
+        (e1 compare e2).sign == Ordering[(Int, Int)].compare((k1, r1), (k2, r2)).sign
+    }, minSuccessful = 500)
+  }
+
   test("sorting packed arrays equals sorting (key, ref) pairs") {
     checkProp(Prop.forAll(Gen.listOf(Gen.zip(Gen.chooseNum(0, 1000), Gen.chooseNum(0, 1000)))) { pairs =>
       val packed = pairs.map { case (k, r) => Elem.pack(k, r) }.toArray

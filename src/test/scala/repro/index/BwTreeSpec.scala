@@ -44,6 +44,20 @@ class BwTreeSpec extends AnyFunSuite {
     assert(t.size == 19)
   }
 
+  test("keys at both Int extremes insert, expire and range-search like a list") {
+    val t    = new BwTree(1000, 64, targetLeafSize = 4, consolidateAt = 2)
+    val keys = Seq(Int.MinValue, -1, Int.MaxValue, Int.MinValue, 0, 500, Int.MaxValue, -1, 999, 1000)
+    val live = ArrayBuffer.empty[(Int, Int)]
+    keys.zipWithIndex.foreach { case (k, i) => t.insert(k, i); live += ((k, i)) }
+    for ((k, r) <- Seq((Int.MinValue, 0), (-1, 1), (Int.MaxValue, 6))) { t.expire(k, r); live -= ((k, r)) }
+    assert(t.size == live.size)
+    val bounds = Seq(Int.MinValue, Int.MinValue + 1, -2, -1, 0, 999, 1000, Int.MaxValue - 1, Int.MaxValue)
+    for (lo <- bounds; hi <- bounds if lo <= hi) {
+      val expected = live.filter { case (k, _) => k >= lo && k <= hi }.sorted.toSeq
+      assert(collect(t, lo, hi).sorted == expected, s"[$lo, $hi]")
+    }
+  }
+
   for (leafSize <- Seq(4, 64); consolidateAt <- Seq(2, 8)) {
     test(s"random churn matches reference (leaf=$leafSize, consolidate=$consolidateAt)") {
       val rnd = new Random(leafSize * 10 + consolidateAt)

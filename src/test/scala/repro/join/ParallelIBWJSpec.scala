@@ -43,6 +43,11 @@ class ParallelIBWJSpec extends AnyFunSuite {
     }
   }
 
+  test("a negative diff is rejected at the API edge") {
+    val wl = workload(20, 1 << 8, 8)
+    assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, -1, pim(4), pim(4), 2, 1))
+  }
+
   test("result propagation preserves arrival order") {
     val w    = 96
     val wl   = workload(3000, 1 << 10, 7)

@@ -53,6 +53,12 @@ class RoundRobinJoinSpec extends AnyFunSuite {
     assert(rrN.results == sink.count)
   }
 
+  test("a negative diff is rejected at the API edge") {
+    val wl = workload(20, 1 << 8, 6)
+    assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 4, 4, -1, 2))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 4, -1, 2))
+  }
+
   test("block size does not change results") {
     val w    = 128
     val wl   = workload(2500, 1 << 10, 5)

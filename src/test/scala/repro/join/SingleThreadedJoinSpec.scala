@@ -105,6 +105,13 @@ class SingleThreadedJoinSpec extends AnyFunSuite {
     assert(ref.nonEmpty)
   }
 
+  test("a negative diff is rejected at the API edge") {
+    val wl = workload(20, 1 << 8, 12)
+    assertThrows[IllegalArgumentException](SingleThreadedJoin.nlwj(wl, 4, 4, -1, new CountingSink))
+    assertThrows[IllegalArgumentException](
+      SingleThreadedJoin.ibwj(wl, 4, 4, -1, new BPlusWindowIndex(8), new BPlusWindowIndex(8), new CountingSink))
+  }
+
   test("window of size 1 keeps only the latest opposite tuple") {
     val wl   = workload(300, 16, 7)
     val sink = new CollectingSink

@@ -46,6 +46,22 @@ class MicroBatchPimJoinSpec extends SparkSpec {
     }
   }
 
+  for (parts <- Seq(1, 4)) {
+    test(s"keys at the Int and key-space edges are routed and joined (partitions=$parts)") {
+      val keySpace = 1 << 10
+      val edge = Array(Int.MinValue, Int.MinValue + 1, -1, 0, keySpace - 1, keySpace, Int.MaxValue - 1, Int.MaxValue)
+      val rnd  = new scala.util.Random(parts)
+      def keys(n: Int) = Array.fill(n)(edge(rnd.nextInt(edge.length)))
+      val wl   = StreamGen.twoWay(keys(200), keys(200))
+      val w    = 16
+      val diff = 1
+      val got = MicroBatchPimJoin
+        .runBatches(spark, s"t-edge-$parts", MicroBatchPimJoin.toTuples(wl), Config(parts, w, w, diff, keySpace), 64)
+        .map(p => (p.rSeq, p.sSeq)).sorted.toVector
+      assert(got == TestRefs.referencePairs(wl, w, w, diff).sorted)
+    }
+  }
+
   test("micro-batch join with merges equals reference (small merge ratio)") {
     val w    = 64
     val wl   = workload(4000, 1 << 10, 9)
