@@ -2,6 +2,8 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import Harness.num
+
 /** T1–T9 + the analytical model — one test per evaluation table.
   * Numbers are printed for EXPERIMENTS.md; assertions check the *shape*
   * the paper reports, with generous margins (absolute numbers are
@@ -9,50 +11,44 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class BenchCoreSuite extends AnyFunSuite {
 
-  private def tps(row: Harness.Row, col: String): Double = {
-    val v = Harness.cell(row, col)
-    val num = v.dropRight(3).toDouble
-    if (v.endsWith("M/s")) num * 1e6 else num * 1e3
-  }
-
   test("T1 (Fig 8a): round-robin partitioning") {
     val rows = ExperimentsCore.roundRobin(fast = true)
     assert(rows.nonEmpty)
     rows.foreach { r =>
       // indexing beats nested loops, and the gap widens with w (paper: NLWJ
       // degrades linearly in w)
-      assert(tps(r, "IBWJ-B+-1t") > tps(r, "NLWJ-1t"))
+      assert(num(r, "IBWJ-B+-1t") > num(r, "NLWJ-1t"))
     }
     // round-robin parallel NLWJ scales well (paper: ~8x)
     val last = rows.last
-    assert(tps(last, last.map(_._1).find(_.startsWith("RR-NLWJ")).get) >
-           2 * tps(last, "NLWJ-1t"))
+    assert(num(last, last.map(_._1).find(_.startsWith("RR-NLWJ")).get) >
+           2 * num(last, "NLWJ-1t"))
   }
 
   test("T2 (Fig 8b): chained index") {
     val rows = ExperimentsCore.chainedIndex(fast = true)
     assert(rows.size == 4)
     // IB-chain beats B-chain (paper: ~50% on average)
-    val avgB  = rows.map(tps(_, "B-chain")).sum / rows.size
-    val avgIb = rows.map(tps(_, "IB-chain")).sum / rows.size
+    val avgB  = rows.map(num(_, "B-chain")).sum / rows.size
+    val avgIb = rows.map(num(_, "IB-chain")).sum / rows.size
     assert(avgIb > avgB)
     // throughput decreases as the chain gets longer (paper: Fig 8b); the
     // optimum sits at the short end (L=2 in the paper, L in {2,4} here)
-    val ibs = rows.map(tps(_, "IB-chain"))
+    val ibs = rows.map(num(_, "IB-chain"))
     assert(ibs.take(2).max > ibs.last, s"short chains should beat L=16: $ibs")
   }
 
   test("T3 (Figs 8c/8d): insertion depth") {
     val rows = ExperimentsCore.insertionDepth(fast = true)
     assert(rows.nonEmpty)
-    rows.foreach(r => assert(tps(r, "single") > 0))
+    rows.foreach(r => assert(num(r, "single") > 0))
   }
 
   test("T4 (Figs 9a/9c/9d): merge ratio") {
     val rows = ExperimentsCore.mergeRatio(fast = true)
     assert(rows.size == 6)
     // the paper: single-threaded performance is poor at the extreme low end
-    val single = rows.map(tps(_, "PIM-single"))
+    val single = rows.map(num(_, "PIM-single"))
     assert(single.head < single.max, "m=2^-6 should not be the single-threaded optimum")
   }
 
@@ -61,9 +57,9 @@ class BenchCoreSuite extends AnyFunSuite {
     assert(rows.size == 6)
     // B+-Tree pays per-tuple deletes; merge trees don't
     val bRows = rows.filter(r => Harness.cell(r, "index") == "B+-Tree")
-    bRows.foreach(r => assert(Harness.cell(r, "delete").dropRight(2).toDouble > 0))
+    bRows.foreach(r => assert(num(r, "delete") > 0))
     val pimRows = rows.filter(r => Harness.cell(r, "index") == "PIM-Tree")
-    pimRows.foreach(r => assert(Harness.cell(r, "merge").dropRight(2).toDouble > 0))
+    pimRows.foreach(r => assert(num(r, "merge") > 0))
   }
 
   test("T6 (Fig 10a): single-threaded IBWJ") {
@@ -75,9 +71,9 @@ class BenchCoreSuite extends AnyFunSuite {
     // margin is far above run noise
     val larger = rows.takeRight(2)
     larger.foreach { r =>
-      assert(tps(r, "PIM-Tree") > 1.15 * tps(r, "B+-Tree"),
+      assert(num(r, "PIM-Tree") > 1.15 * num(r, "B+-Tree"),
         s"PIM should clearly beat B+ at ${Harness.cell(r, "w")}")
-      assert(tps(r, "IM-Tree") > 1.15 * tps(r, "B+-Tree"),
+      assert(num(r, "IM-Tree") > 1.15 * num(r, "B+-Tree"),
         s"IM should clearly beat B+ at ${Harness.cell(r, "w")}")
     }
   }
@@ -86,7 +82,7 @@ class BenchCoreSuite extends AnyFunSuite {
     val rows = ExperimentsCore.matchRate(fast = true)
     assert(rows.size == 4)
     // throughput collapses at very high match rates (paper: memory-bound scans)
-    val pim = rows.map(tps(_, "PIM-single"))
+    val pim = rows.map(num(_, "PIM-single"))
     assert(pim.last < pim.head, "sigma=2^8 should be slower than sigma=2^-4")
   }
 
@@ -94,7 +90,7 @@ class BenchCoreSuite extends AnyFunSuite {
     val rows = ExperimentsCore.taskSize(fast = true)
     assert(rows.size == 5)
     // latency grows with task size (paper Fig 10d)
-    val lat = rows.map(r => Harness.cell(r, "latency").dropRight(2).toDouble)
+    val lat = rows.map(num(_, "latency"))
     assert(lat.last > lat.head, s"latency should grow with task size: $lat")
   }
 
@@ -102,7 +98,7 @@ class BenchCoreSuite extends AnyFunSuite {
     val rows = ExperimentsCore.memoryFootprint(fast = true)
     assert(rows.nonEmpty)
     rows.foreach { r =>
-      val ratio = Harness.cell(r, "ratio").dropRight(1).toDouble
+      val ratio = num(r, "ratio")
       // paper: PIM-Tree needs roughly double the space of B+-Tree
       assert(ratio > 1.2 && ratio < 4.0, s"ratio=$ratio")
     }

@@ -16,8 +16,6 @@ import Harness._
   */
 object ExperimentsCore {
 
-  private def threadsMax: Int = math.min(16, Runtime.getRuntime.availableProcessors)
-
   /** T1 / Fig. 8a — NLWJ & IBWJ under round-robin partitioning, plus the
     * Bw-Tree shared-index baseline, across window sizes.
     */
@@ -39,16 +37,15 @@ object ExperimentsCore {
                                       timedFrom = bIdx.timedFrom)
       val bwP   = runParallel(() => bwTree(w), bIdx, w, p)._1
       Vector(
-        "w"              -> s"2^$logW",
-        "NLWJ-1t"        -> fmtThroughput(nlwj1.throughput),
-        s"RR-NLWJ-${p}t" -> fmtThroughput(nlwjP.throughput),
-        "IBWJ-B+-1t"     -> fmtThroughput(ibwj1.throughput),
-        s"RR-IBWJ-${p}t" -> fmtThroughput(ibwjP.throughput),
-        s"Bw-IBWJ-${p}t" -> fmtThroughput(bwP.throughput),
+        "w"              -> Text(s"2^$logW"),
+        "NLWJ-1t"        -> Tps(nlwj1.throughput),
+        s"RR-NLWJ-${p}t" -> Tps(nlwjP.throughput),
+        "IBWJ-B+-1t"     -> Tps(ibwj1.throughput),
+        s"RR-IBWJ-${p}t" -> Tps(ibwjP.throughput),
+        s"Bw-IBWJ-${p}t" -> Tps(bwP.throughput),
       )
     }
     printTable("T1 (Fig 8a): round-robin partitioning vs shared Bw-Tree", rows)
-    rows
   }
 
   /** T2 / Fig. 8b — chained index throughput vs chain length, B-chain and
@@ -67,14 +64,13 @@ object ExperimentsCore {
       val bc  = runSingle(() => chained(w, len, immutableArchive = false), b, w)
       val ibc = runSingle(() => chained(w, len, immutableArchive = true), b, w)
       Vector(
-        "chainLength" -> len.toString,
-        "B-chain"     -> fmtThroughput(bc.throughput),
-        "IB-chain"    -> fmtThroughput(ibc.throughput),
-        "B+-Tree"     -> fmtThroughput(base.throughput),
+        "chainLength" -> Count(len),
+        "B-chain"     -> Tps(bc.throughput),
+        "IB-chain"    -> Tps(ibc.throughput),
+        "B+-Tree"     -> Tps(base.throughput),
       )
     }
     printTable(s"T2 (Fig 8b): chained index, w=2^$logW", rows)
-    rows
   }
 
   /** T3 / Figs. 8c, 8d — throughput vs insertion depth D_I, single and
@@ -93,14 +89,13 @@ object ExperimentsCore {
       val single = runSingle(() => pimTree(w, 1.0 / 8, dI), b, w)
       val par    = runParallel(() => pimPar(w, 1.0, dI), b, w, p)._1
       Vector(
-        "w"          -> s"2^$logW",
-        "D_I"        -> dI.toString,
-        "single"     -> fmtThroughput(single.throughput),
-        s"par-${p}t" -> fmtThroughput(par.throughput),
+        "w"          -> Text(s"2^$logW"),
+        "D_I"        -> Count(dI),
+        "single"     -> Tps(single.throughput),
+        s"par-${p}t" -> Tps(par.throughput),
       )
     }
     printTable("T3 (Figs 8c/8d): PIM-Tree throughput vs insertion depth", rows)
-    rows
   }
 
   /** T4 / Figs. 9a, 9c, 9d — throughput vs merge ratio for IM-Tree and
@@ -118,14 +113,13 @@ object ExperimentsCore {
       val pim    = runSingle(() => pimTree(w, m), b, w)
       val par    = runParallel(() => pimPar(w, m), b, w, p)._1
       Vector(
-        "m"              -> s"2^-$negLogM",
-        "IM-single"      -> fmtThroughput(im.throughput),
-        "PIM-single"     -> fmtThroughput(pim.throughput),
-        s"PIM-par-${p}t" -> fmtThroughput(par.throughput),
+        "m"              -> Text(s"2^-$negLogM"),
+        "IM-single"      -> Tps(im.throughput),
+        "PIM-single"     -> Tps(pim.throughput),
+        s"PIM-par-${p}t" -> Tps(par.throughput),
       )
     }
     printTable(s"T4 (Figs 9a/9c/9d): throughput vs merge ratio, w=2^$logW", rows)
-    rows
   }
 
   /** T5 / Fig. 9b — per-step cost breakdown (search / scan / insert /
@@ -148,10 +142,10 @@ object ExperimentsCore {
       val stats = SingleThreadedJoin.ibwj(b.wl, w, w, b.diff, mk(w), mk(w),
                                           new CountingSink, timers = timers,
                                           timedFrom = b.timedFrom)
-      def per(x: Long) = f"${x.toDouble / stats.tuples}%.1fns"
+      def per(x: Long) = Ns(x.toDouble / stats.tuples)
       Vector(
-        "w"      -> s"2^$logW",
-        "index"  -> name,
+        "w"      -> Text(s"2^$logW"),
+        "index"  -> Text(name),
         "search" -> per(timers.searchNanos),
         "scan"   -> per(math.max(0, timers.scanNanos - timers.searchNanos)),
         "insert" -> per(timers.insertNanos),
@@ -160,7 +154,6 @@ object ExperimentsCore {
       )
     }
     printTable("T5 (Fig 9b): per-tuple cost breakdown", rows)
-    rows
   }
 
   /** T6 / Fig. 10a — single-threaded IBWJ across window sizes. */
@@ -174,14 +167,13 @@ object ExperimentsCore {
       val im  = runSingle(() => imTree(w, 1.0 / 8), b, w)
       val pim = runSingle(() => pimTree(w, 1.0 / 8), b, w)
       Vector(
-        "w"        -> s"2^$logW",
-        "B+-Tree"  -> fmtThroughput(bp.throughput),
-        "IM-Tree"  -> fmtThroughput(im.throughput),
-        "PIM-Tree" -> fmtThroughput(pim.throughput),
+        "w"        -> Text(s"2^$logW"),
+        "B+-Tree"  -> Tps(bp.throughput),
+        "IM-Tree"  -> Tps(im.throughput),
+        "PIM-Tree" -> Tps(pim.throughput),
       )
     }
     printTable("T6 (Fig 10a): single-threaded IBWJ", rows)
-    rows
   }
 
   /** T7 / Fig. 10b — throughput vs match rate sigma_s. */
@@ -201,15 +193,14 @@ object ExperimentsCore {
       val pim = runSingle(() => pimTree(w, 1.0 / 8), b, w)
       val par = runParallel(() => pimPar(w), b, w, p)._1
       Vector(
-        "sigma_s"        -> s"2^$logSigma",
-        "B+-single"      -> fmtThroughput(bp.throughput),
-        "IM-single"      -> fmtThroughput(im.throughput),
-        "PIM-single"     -> fmtThroughput(pim.throughput),
-        s"PIM-par-${p}t" -> fmtThroughput(par.throughput),
+        "sigma_s"        -> Text(s"2^$logSigma"),
+        "B+-single"      -> Tps(bp.throughput),
+        "IM-single"      -> Tps(im.throughput),
+        "PIM-single"     -> Tps(pim.throughput),
+        s"PIM-par-${p}t" -> Tps(par.throughput),
       )
     }
     printTable(s"T7 (Fig 10b): throughput vs match rate, w=2^$logW", rows)
-    rows
   }
 
   /** T8 / Figs. 10c, 10d — throughput and latency vs task size. */
@@ -227,14 +218,13 @@ object ExperimentsCore {
                                       taskSize = ts, trackLatency = true)
       val latUs = join.latencySumNanos.get.toDouble / math.max(1, join.latencyCount.get) / 1000
       Vector(
-        "w"          -> s"2^$logW",
-        "taskSize"   -> ts.toString,
-        "throughput" -> fmtThroughput(stats.throughput),
-        "latency"    -> f"$latUs%.1fus",
+        "w"          -> Text(s"2^$logW"),
+        "taskSize"   -> Count(ts),
+        "throughput" -> Tps(stats.throughput),
+        "latency"    -> Us(latUs),
       )
     }
     printTable("T8 (Figs 10c/10d): parallel IBWJ vs task size", rows)
-    rows
   }
 
   /** T9 / Fig. 11a — memory footprint of PIM-Tree vs B+-Tree holding a
@@ -258,14 +248,13 @@ object ExperimentsCore {
       while (i < 2 * w) { pim.insert(rnd.nextInt(StreamGen.DefaultKeySpace), i); i += 1 }
       val mb = 1024.0 * 1024.0
       Vector(
-        "elements" -> s"2^$logW",
-        "B+-Tree"  -> f"${b.memoryBytes / mb}%.1fMB",
-        "PIM-Tree" -> f"${pim.memoryBytes / mb}%.1fMB",
-        "ratio"    -> f"${pim.memoryBytes.toDouble / b.memoryBytes}%.2fx",
+        "elements" -> Text(s"2^$logW"),
+        "B+-Tree"  -> MB(b.memoryBytes / mb),
+        "PIM-Tree" -> MB(pim.memoryBytes / mb),
+        "ratio"    -> Ratio(pim.memoryBytes.toDouble / b.memoryBytes),
       )
     }
     printTable("T9 (Fig 11a): memory footprint", rows)
-    rows
   }
 
   /** Analytical cost-model table (Equations 2–6) at the bench's default
@@ -275,15 +264,14 @@ object ExperimentsCore {
     val rows = Seq(14, 17, 20, 23).map { logW =>
       val p = CostModel.Params(w = math.pow(2, logW))
       Vector(
-        "w"               -> s"2^$logW",
-        "C_BJ"            -> f"${CostModel.cBJ(p)}%.1f",
-        "C_CJ(L=4)"       -> f"${CostModel.cCJ(p, 4)}%.1f",
-        "C_RRJ(P=8)"      -> f"${CostModel.cRRJ(p, 8)}%.1f",
-        "C_MJ(m=1/8)"     -> f"${CostModel.cMJ(p, 1.0 / 8)}%.1f",
-        "C_PJ(m=1/8,D=2)" -> f"${CostModel.cPJ(p, 1.0 / 8, 2)}%.1f",
+        "w"               -> Text(s"2^$logW"),
+        "C_BJ"            -> Plain(CostModel.cBJ(p)),
+        "C_CJ(L=4)"       -> Plain(CostModel.cCJ(p, 4)),
+        "C_RRJ(P=8)"      -> Plain(CostModel.cRRJ(p, 8)),
+        "C_MJ(m=1/8)"     -> Plain(CostModel.cMJ(p, 1.0 / 8)),
+        "C_PJ(m=1/8,D=2)" -> Plain(CostModel.cPJ(p, 1.0 / 8, 2)),
       )
     }
     printTable("Analytical model (Eqs 2-6), per-tuple cost units", rows)
-    rows
   }
 }

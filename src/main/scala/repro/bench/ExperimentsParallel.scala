@@ -13,8 +13,6 @@ import Harness._
   */
 object ExperimentsParallel {
 
-  private def threadsMax: Int = math.min(16, Runtime.getRuntime.availableProcessors)
-
   /** T10 / Figs. 11b, 11c — asymmetric input rates and window sizes. */
   def asymmetric(fast: Boolean = true): Seq[Row] = {
     val logW = if (fast) 15 else 16
@@ -34,8 +32,8 @@ object ExperimentsParallel {
       val diff = StreamGen.diffForMatchRate(w, 2.0, keySpace)
       val b = Bench(wl, diff, prefill)
       val stats = runParallel(() => pimPar(w), b, w, p)._1
-      Vector("rate R:S" -> s"$rPer:$sPer", "w" -> s"2^$logW",
-             "throughput" -> fmtThroughput(stats.throughput))
+      Vector("rate R:S" -> Text(s"$rPer:$sPer"), "w" -> Text(s"2^$logW"),
+             "throughput" -> Tps(stats.throughput))
     }
     printTable("T10a (Fig 11b): asymmetric input rates", rateRows)
 
@@ -50,11 +48,10 @@ object ExperimentsParallel {
                                   pimPar(wr), pimPar(ws), p, 8,
                                   timedFrom = b.timedFrom)
       val stats = join.run(new CountingSink)
-      Vector("wR" -> s"2^$logWr", "wS" -> s"2^$logWs",
-             "throughput" -> fmtThroughput(stats.throughput))
+      Vector("wR" -> Text(s"2^$logWr"), "wS" -> Text(s"2^$logWs"),
+             "throughput" -> Tps(stats.throughput))
     }
-    printTable("T10b (Fig 11c): asymmetric window sizes", winRows)
-    rateRows ++ winRows
+    rateRows ++ printTable("T10b (Fig 11c): asymmetric window sizes", winRows)
   }
 
   /** T11 / Fig. 11d — effective memory-traffic split (software byte
@@ -73,14 +70,13 @@ object ExperimentsParallel {
       val loads  = Telemetry.bytesLoaded.sum.toDouble
       val stores = Telemetry.bytesStored.sum.toDouble
       Vector(
-        "threads"    -> p.toString,
-        "throughput" -> fmtThroughput(stats.throughput),
-        "storeShare" -> f"${100 * stores / math.max(1, loads + stores)}%.1f%%",
-        "loadShare"  -> f"${100 * loads / math.max(1, loads + stores)}%.1f%%",
+        "threads"    -> Count(p),
+        "throughput" -> Tps(stats.throughput),
+        "storeShare" -> Pct(100 * stores / math.max(1, loads + stores)),
+        "loadShare"  -> Pct(100 * loads / math.max(1, loads + stores)),
       )
     }
     printTable(s"T11 (Fig 11d): memory-traffic split, w=2^$logW", rows)
-    rows
   }
 
   /** T12 / Fig. 12a — scalability and the cost of concurrency control. */
@@ -108,11 +104,11 @@ object ExperimentsParallel {
     val noCc2 = best(runParallel(() => pimPar(w, useLocks = false), b2, w, 1)._1)
     val noCcS = best(runParallel(() => pimPar(w, useLocks = false), bS, w, 1, selfJoin = true)._1)
     val base = Vector(
-      "threads"  -> "1 (no CC)",
-      "two-way"  -> fmtThroughput(noCc2),
-      "self"     -> fmtThroughput(noCcS),
-      "speedup2" -> "-",
-      "speedupS" -> "-",
+      "threads"  -> Text("1 (no CC)"),
+      "two-way"  -> Tps(noCc2),
+      "self"     -> Tps(noCcS),
+      "speedup2" -> Text("-"),
+      "speedupS" -> Text("-"),
     )
     var cc1Two  = 0.0
     var cc1Self = 0.0
@@ -121,16 +117,15 @@ object ExperimentsParallel {
       val self = best(runParallel(() => pimPar(w), bS, w, p, selfJoin = true)._1)
       if (p == 1) { cc1Two = two; cc1Self = self }
       Vector(
-        "threads"  -> p.toString,
-        "two-way"  -> fmtThroughput(two),
-        "self"     -> fmtThroughput(self),
-        "speedup2" -> f"${two / math.max(1, cc1Two)}%.1fx",
-        "speedupS" -> f"${self / math.max(1, cc1Self)}%.1fx",
+        "threads"  -> Count(p),
+        "two-way"  -> Tps(two),
+        "self"     -> Tps(self),
+        "speedup2" -> Times(two / math.max(1, cc1Two)),
+        "speedupS" -> Times(self / math.max(1, cc1Self)),
       )
     }
     val rows = base +: parRows
     printTable(s"T12 (Fig 12a): scalability & CC overhead, w=2^$logW", rows)
-    rows
   }
 
   /** T13 / Fig. 12b — skewed value distributions, diff calibrated per
@@ -156,11 +151,10 @@ object ExperimentsParallel {
       val wl    = truncate(StreamGen.twoWay(rKeys, sKeys), prefill + n)
       val diff  = calibrateDiff(rKeys, w, 2.0)
       val stats = runParallel(() => pimPar(w), Bench(wl, diff, prefill), w, p)._1
-      Vector("distribution" -> name, "diff" -> diff.toString,
-             "throughput" -> fmtThroughput(stats.throughput))
+      Vector("distribution" -> Text(name), "diff" -> Count(diff),
+             "throughput" -> Tps(stats.throughput))
     }
     printTable(s"T13 (Fig 12b): skewed distributions, w=2^$logW", rows)
-    rows
   }
 
   /** T14 / Fig. 12c — self-join, single vs parallel, across windows. */
@@ -175,14 +169,13 @@ object ExperimentsParallel {
       val pim = runSingle(() => pimTree(w, 1.0 / 8), b, w, selfJoin = true)
       val par = runParallel(() => pimPar(w), b, w, p, selfJoin = true)._1
       Vector(
-        "w"              -> s"2^$logW",
-        "B+-single"      -> fmtThroughput(bp.throughput),
-        "PIM-single"     -> fmtThroughput(pim.throughput),
-        s"PIM-par-${p}t" -> fmtThroughput(par.throughput),
+        "w"              -> Text(s"2^$logW"),
+        "B+-single"      -> Tps(bp.throughput),
+        "PIM-single"     -> Tps(pim.throughput),
+        s"PIM-par-${p}t" -> Tps(par.throughput),
       )
     }
     printTable("T14 (Fig 12c): index-based self-join", rows)
-    rows
   }
 
   /** T15 / Figs. 13a, 13b — shifting Gaussian: insert skew across
@@ -225,15 +218,14 @@ object ExperimentsParallel {
       val stats = runParallel(() => new PIMTree(4, w, ibFanout = 16, ibLeafSize = 16),
                               Bench(wl, diff, phase1), w, p, selfJoin = true)._1
       Vector(
-        "r"           -> f"$r%.1f",
-        "subindexes"  -> parts.toString,
-        "maxInsShare" -> f"${100 * maxShare}%.1f%%",
-        "skewVsUnif"  -> f"$skewX%.1fx",
-        "throughput"  -> fmtThroughput(stats.throughput),
+        "r"           -> Plain(r),
+        "subindexes"  -> Count(parts),
+        "maxInsShare" -> Pct(100 * maxShare),
+        "skewVsUnif"  -> Times(skewX),
+        "throughput"  -> Tps(stats.throughput),
       )
     }
     printTable(s"T15 (Figs 13a/13b): shifting Gaussian, w=2^$logW", rows)
-    rows
   }
 
   /** T16 / Fig. 13c — multithreading efficiency: the five two-way-join
@@ -252,16 +244,15 @@ object ExperimentsParallel {
       val pimNb = runParallel(() => pimPar(w), b, w, p, nonblocking = true)._1
       val pimBl = runParallel(() => pimPar(w), b, w, p, nonblocking = false)._1
       Vector(
-        "w"             -> s"2^$logW",
-        "B+-1t"         -> fmtThroughput(b1.throughput),
-        "PIM-1t"        -> fmtThroughput(pim1.throughput),
-        s"Bw-${p}t"     -> fmtThroughput(bwP.throughput),
-        s"PIM-${p}t-nb" -> fmtThroughput(pimNb.throughput),
-        s"PIM-${p}t-bl" -> fmtThroughput(pimBl.throughput),
+        "w"             -> Text(s"2^$logW"),
+        "B+-1t"         -> Tps(b1.throughput),
+        "PIM-1t"        -> Tps(pim1.throughput),
+        s"Bw-${p}t"     -> Tps(bwP.throughput),
+        s"PIM-${p}t-nb" -> Tps(pimNb.throughput),
+        s"PIM-${p}t-bl" -> Tps(pimBl.throughput),
       )
     }
     printTable("T16 (Fig 13c): multithreading efficiency", rows)
-    rows
   }
 
   /** T17 / Fig. 14 — merge cost vs window size (linearity check). */
@@ -277,13 +268,12 @@ object ExperimentsParallel {
       val nanos  = idxR.totalMergeNanos + idxS.totalMergeNanos
       val per    = if (merges == 0) 0.0 else nanos.toDouble / merges
       Vector(
-        "w"          -> s"2^$logW",
-        "merges"     -> merges.toString,
-        "avgMergeMs" -> f"${per / 1e6}%.2fms",
-        "nsPerElem"  -> (if (merges == 0) "-" else f"${per / (1.25 * w)}%.1fns"),
+        "w"          -> Text(s"2^$logW"),
+        "merges"     -> Count(merges.toDouble),
+        "avgMergeMs" -> Ms(per / 1e6),
+        "nsPerElem"  -> (if (merges == 0) Text("-") else Ns(per / (1.25 * w))),
       )
     }
     printTable("T17 (Fig 14): merge cost vs window size", rows)
-    rows
   }
 }

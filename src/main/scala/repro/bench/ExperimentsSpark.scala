@@ -40,14 +40,13 @@ object ExperimentsSpark {
       val out = MicroBatchPimJoin.runBatches(spark, jobId, tuples, cfg, batchSize)
       val dt  = System.nanoTime() - t0
       Vector(
-        "partitions" -> parts.toString,
-        "throughput" -> fmtThroughput(n.toDouble * 1e9 / dt),
-        "results"    -> out.size.toString,
-        "expected"   -> expected.toString,
-        "match"      -> (if (out.size == expected) "OK" else "MISMATCH"),
+        "partitions" -> Count(parts),
+        "throughput" -> Tps(n.toDouble * 1e9 / dt),
+        "results"    -> Count(out.size),
+        "expected"   -> Count(expected.toDouble),
+        "match"      -> Text(if (out.size == expected) "OK" else "MISMATCH"),
       )
     }
     printTable(s"T18: Spark micro-batch PIM-Tree join, w=2^$logW, n=$n", rows)
-    rows
   }
 }

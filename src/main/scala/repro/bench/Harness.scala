@@ -15,31 +15,69 @@ import repro.join._
   * and every number is a warm-up artifact (observed the hard way).
   *
   * Experiments print fixed-width rows (one table per paper figure) and
-  * return them as `Vector[(col, value)]` rows so the bench suites can
-  * assert on trends and EXPERIMENTS.md can quote them.
+  * return them as `Vector[(col, cell)]` rows so the bench suites can
+  * assert on trends and EXPERIMENTS.md can quote them. A cell holds a
+  * number in a unit, or a text label; numbers are formatted only when
+  * printed, so the suites compare unrounded values.
   */
 object Harness {
 
-  type Row = Vector[(String, String)]
+  /** A table cell: a number in a unit, or a text label. */
+  sealed trait Cell { def text: String }
+  final case class Text(text: String) extends Cell
+  final case class Num(value: Double, unit: NumUnit) extends Cell { def text: String = unit.format(value) }
 
-  /** Cell lookup by column name (fails loudly on a missing column). */
-  def cell(row: Row, col: String): String =
+  /** A unit, printed at the one precision its columns use; applying one
+    * makes a cell: `Tps(1.456e6)` (tuples/s) prints as `1.46M/s`. `Ratio`
+    * compares two measurements, `Times` is a multiple of a baseline (a
+    * speed-up), and `Plain` is unitless (the cost model's units).
+    */
+  sealed abstract class NumUnit(val format: Double => String) {
+    def apply(value: Double): Cell = Num(value, this)
+  }
+  case object Tps   extends NumUnit(v => if (v >= 1e6) f"${v / 1e6}%.2fM/s" else f"${v / 1e3}%.0fK/s")
+  case object Ns    extends NumUnit(v => f"$v%.1fns")
+  case object Us    extends NumUnit(v => f"$v%.1fus")
+  case object Ms    extends NumUnit(v => f"$v%.2fms")
+  case object MB    extends NumUnit(v => f"$v%.1fMB")
+  case object Pct   extends NumUnit(v => f"$v%.1f%%")
+  case object Ratio extends NumUnit(v => f"$v%.2fx")
+  case object Times extends NumUnit(v => f"$v%.1fx")
+  case object Count extends NumUnit(v => f"$v%.0f")
+  case object Plain extends NumUnit(v => f"$v%.1f")
+
+  type Row = Vector[(String, Cell)]
+
+  /** Worker threads for the parallel runs: every core, at most 16. */
+  def threadsMax: Int = math.min(16, Runtime.getRuntime.availableProcessors)
+
+  private def lookup(row: Row, col: String): Cell =
     row.collectFirst { case (c, v) if c == col => v }
       .getOrElse(sys.error(s"no column '$col' in row $row"))
 
-  def fmtThroughput(tps: Double): String =
-    if (tps >= 1e6) f"${tps / 1e6}%.2fM/s" else f"${tps / 1e3}%.0fK/s"
+  /** Printed text of a cell by column name (fails loudly on a missing column). */
+  def cell(row: Row, col: String): String = lookup(row, col).text
 
-  def printTable(title: String, rows: Seq[Row]): Unit = {
+  /** Unrounded value of a numeric cell (fails loudly on a missing column or a text cell). */
+  def num(row: Row, col: String): Double = lookup(row, col) match {
+    case Num(v, _) => v
+    case Text(t)   => sys.error(s"column '$col' holds text '$t', not a number, in row $row")
+  }
+
+  /** Print the rows as a fixed-width table and return them. */
+  def printTable(title: String, rows: Seq[Row]): Seq[Row] = {
     println(s"\n== $title ==")
-    if (rows.isEmpty) { println("(no rows)"); return }
-    val cols   = rows.head.map(_._1)
-    val widths = cols.map(c => math.max(c.length, rows.map(r => cell(r, c).length).max))
-    def line(vals: Seq[String]): String =
-      vals.zip(widths).map { case (v, w) => v.padTo(w, ' ') }.mkString("  ")
-    println(line(cols))
-    println(line(widths.map("-" * _)))
-    rows.foreach(r => println(line(cols.map(cell(r, _)))))
+    if (rows.isEmpty) println("(no rows)")
+    else {
+      val cols   = rows.head.map(_._1)
+      val widths = cols.map(c => math.max(c.length, rows.map(r => cell(r, c).length).max))
+      def line(vals: Seq[String]): String =
+        vals.zip(widths).map { case (v, w) => v.padTo(w, ' ') }.mkString("  ")
+      println(line(cols))
+      println(line(widths.map("-" * _)))
+      rows.foreach(r => println(line(cols.map(cell(r, _)))))
+    }
+    rows
   }
 
   // ------------------------------------------------------- workload prep
@@ -82,7 +120,7 @@ object Harness {
       val band  = Band(diff)
       var total = 0L
       probes.foreach { k =>
-        total += upperBound(window, band.hi(k)) - lowerBound(window, band.lo(k))
+        total += countBelow(window, band.hi(k) + 1L) - countBelow(window, band.lo(k))
       }
       total.toDouble / math.max(1, probes.length)
     }
@@ -95,14 +133,12 @@ object Harness {
     lo
   }
 
-  private def lowerBound(a: Array[Int], v: Int): Int = {
+  /** Number of elements of the sorted `a` below `v` (a `Long`, so one
+    * past `Int.MaxValue` is representable).
+    */
+  private def countBelow(a: Array[Int], v: Long): Int = {
     var lo = 0; var hi = a.length
     while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) < v) lo = m + 1 else hi = m }
-    lo
-  }
-  private def upperBound(a: Array[Int], v: Int): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) <= v) lo = m + 1 else hi = m }
     lo
   }
 

@@ -42,19 +42,7 @@ final class ImmutableBPlusTree private (
   def lowerBound(lo: Int): Int = {
     val len = leaves.length
     if (len == 0) return 0
-    var p     = 0
-    var level = 0
-    while (level < depth) {
-      val base = levelOffsets(level) + p * fanout
-      Telemetry.load(fanout.toLong * 4)
-      var k = 0
-      while (k < fanout - 1 && inners(base + k) < lo) k += 1
-      p = p * fanout + k
-      level += 1
-      val cap = if (level == depth) numLeafNodes else levelCounts(level)
-      if (p >= cap) p = cap - 1
-    }
-    var idx = p * leafNodeSize
+    var idx = descend(lo, depth) * leafNodeSize
     Telemetry.load(leafNodeSize.toLong * 8)
     while (idx < len && Elem.key(leaves(idx)) < lo) idx += 1
     idx
@@ -84,29 +72,28 @@ final class ImmutableBPlusTree private (
   /** BFS index of the node at `level` whose key range contains `key`
     * (the partition-routing walk of Algorithm 1, lines 1–7).
     */
-  def nodeIndexAtLevel(key: Int, level: Int): Int = {
-    if (depth == 0 || level == 0) return 0
+  def nodeIndexAtLevel(key: Int, level: Int): Int =
+    if (depth == 0 || level == 0) 0 else descend(key, level)
+
+  /** Walk from the root towards `key` down to `target` (an inner level, or
+    * `depth` for the leaf nodes) and return the BFS index of the node
+    * reached there. Indexes past a ragged right edge are capped at the
+    * level's last node.
+    */
+  private def descend(key: Int, target: Int): Int = {
     var p = 0
     var l = 0
-    while (l < level) {
+    while (l < target) {
       val base = levelOffsets(l) + p * fanout
       Telemetry.load(fanout.toLong * 4)
       var k = 0
       while (k < fanout - 1 && inners(base + k) < key) k += 1
       p = p * fanout + k
       l += 1
-      val cap = levelCounts(l)
+      val cap = if (l == depth) numLeafNodes else levelCounts(l)
       if (p >= cap) p = cap - 1
     }
     p
-  }
-
-  /** Leaf-node span (in leaf nodes) of one node at `level`. */
-  private def spanLeafNodes(level: Int): Int = {
-    var s = 1
-    var l = level
-    while (l < depth) { s *= fanout; l += 1 }
-    s
   }
 
   /** Inclusive max key of the subtree under node `p` at `level`;
@@ -114,7 +101,7 @@ final class ImmutableBPlusTree private (
     */
   def subtreeUpperBound(level: Int, p: Int): Int = {
     if (depth == 0) return Int.MaxValue
-    val span = spanLeafNodes(level)
+    val span = ImmutableBPlusTree.leafSpan(fanout, depth - level)
     val endElem = (p + 1).toLong * span * leafNodeSize
     if (endElem >= leaves.length) Int.MaxValue
     else Elem.key(leaves(endElem.toInt - 1))
@@ -132,6 +119,14 @@ object ImmutableBPlusTree {
 
   /** Default elements per leaf node. */
   val DefaultLeafNodeSize = 32
+
+  /** Leaf nodes under one node `levels` inner levels above them: fanout^levels. */
+  private def leafSpan(fanout: Int, levels: Int): Int = {
+    var s = 1
+    var l = 0
+    while (l < levels) { s *= fanout; l += 1 }
+    s
+  }
 
   /** Build from a key-sorted packed element array (Algorithm 3 — expressed
     * directly via subtree maxima, which yields the identical key layout).
@@ -170,9 +165,7 @@ object ImmutableBPlusTree {
     var level = 0
     while (level < depth) {
       // child span in leaf nodes for children of nodes at this level
-      var childSpan = 1
-      var l         = level + 1
-      while (l < depth) { childSpan *= fanout; l += 1 }
+      val childSpan = leafSpan(fanout, depth - level - 1)
       var p = 0
       while (p < levelCounts(level)) {
         var j = 0

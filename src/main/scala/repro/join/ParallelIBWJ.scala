@@ -1,7 +1,7 @@
 package repro.join
 
 import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerArray, AtomicLong}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicReference}
 import java.util.concurrent.locks.ReentrantLock
 
 import repro.StreamGen.Workload
@@ -48,6 +48,7 @@ final class ParallelIBWJ(
     timedFrom: Int = 0,
 ) {
   require(numThreads >= 1 && taskSize >= 1)
+  require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
 
   private val n = workload.length
   @volatile private var steadyStart: Long = 0
@@ -74,6 +75,10 @@ final class ParallelIBWJ(
   @volatile private var assignmentBlocked = false
   @volatile private var indexUpdatesSuspended = false // nonblocking merge phase 1
   private val mergeOwner = new AtomicBoolean(false)
+  // The first exception a worker threw (indexes and sinks are caller
+  // code). Once set, workers and the merger's quiescence wait stop, since
+  // the dead worker's arrivals never complete, and run() rethrows it.
+  private val failure = new AtomicReference[Throwable](null)
 
   private val propLock = new ReentrantLock
   private val propHead = new AtomicInteger(0)
@@ -119,18 +124,22 @@ final class ParallelIBWJ(
 
   /** Run the join to completion with `numThreads` workers; `sink` sees
     * results in arrival order (called only under the propagation lock).
+    * If a worker throws (in an index or the sink), the others stop and
+    * the first such exception is rethrown here.
     */
   def run(sink: ResultSink): JoinStats = {
     val t0 = System.nanoTime()
     steadyStart = if (timedFrom == 0) t0 else 0
     val threads = (0 until numThreads).map { tid =>
-      val t = new Thread(() => workerLoop(sink), s"ibwj-worker-$tid")
+      val t = new Thread(() => try workerLoop(sink) catch { case e: Throwable => failure.compareAndSet(null, e) },
+                         s"ibwj-worker-$tid")
       t.setDaemon(true)
       t.start()
       t
     }
     threads.foreach(_.join())
     val end = System.nanoTime()
+    if (failure.get != null) throw failure.get
     require(propHead.get == n, s"join did not drain: propagated=${propHead.get} of $n")
     val from = if (steadyStart == 0) t0 else steadyStart
     JoinStats(n - math.min(timedFrom, n), resultCount.get, end - from)
@@ -141,7 +150,7 @@ final class ParallelIBWJ(
   private def workerLoop(sink: ResultSink): Unit = {
     val out = new LongVec(64)
     val acc = new IntVec(64)
-    while (propHead.get < n) {
+    while (propHead.get < n && failure.get == null) {
       if (mergeCapable && !mergeOwner.get && needsAnyMerge && mergeOwner.compareAndSet(false, true)) {
         try runMerge()
         finally mergeOwner.set(false)
@@ -333,7 +342,7 @@ final class ParallelIBWJ(
     queueLock.lock()
     try assignmentBlocked = true
     finally queueLock.unlock()
-    while (activeTasks.get > 0) Thread.onSpinWait()
+    while (activeTasks.get > 0 && failure.get == null) Thread.onSpinWait()
   }
 
   private def resume(): Unit = assignmentBlocked = false

@@ -28,8 +28,64 @@ object RoundRobinJoin {
     * drawback of context-insensitive partitioning); results are counted.
     */
   def ibwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
-           fanout: Int = 16, blockSize: Int = 1024, timedFrom: Int = 0): JoinStats = {
+           fanout: Int = 16, blockSize: Int = 1024, timedFrom: Int = 0): JoinStats =
+    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (a, band, core) =>
+      val localR = new BPlusTree(fanout)
+      val localS = new BPlusTree(fanout)
+      val out    = new LongVec(16)
+      i => {
+        val isR = a.isR(i)
+        val k   = a.key(i)
+        val seq = a.streamSeq(i)
+        // search: this core's share of the opposite window
+        out.clear()
+        if (i >= timedFrom) (if (isR) localS else localR).rangeSearch(band.lo(k), band.hi(k), out)
+        // this core deletes the expired tuple and indexes the arrival
+        // only where it owns their seqs
+        val own = if (isR) localR else localS
+        val exp = seq - (if (isR) wR else wS)
+        if (exp >= 0 && exp % cores == core) own.delete(a.keys(isR)(exp), exp)
+        if (seq % cores == core) own.insert(k, seq)
+        out.size.toLong // local indexes hold only live tuples
+      }
+    }
+
+  /** Multithreaded NLWJ on round-robin partitions: each core linearly
+    * scans its share (`seq % P == core`) of the opposite window.
+    */
+  def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
+           blockSize: Int = 1024, timedFrom: Int = 0): JoinStats =
+    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (a, band, core) =>
+      i => {
+        val oppR = a.probesR(i)
+        val k    = a.key(i)
+        val tl   = a.oppHead(i)
+        var res  = 0L
+        if (tl >= 0 && i >= timedFrom) {
+          val oppKeys = a.keys(oppR)
+          val te      = Arrivals.windowStart(tl, if (oppR) wR else wS)
+          // start at the first owned seq >= te
+          var j = te + ((core - te % cores + cores) % cores)
+          while (j <= tl) {
+            if (band.matches(oppKeys(j), k)) res += 1
+            j += cores
+          }
+        }
+        res
+      }
+    }
+
+  /** The round-robin scaffold both joins share: one thread per core sweeps
+    * every arrival in blocks of `blockSize`, with a barrier between blocks.
+    * `perCore(arrivals, band, core)` runs on that core's thread and returns
+    * its per-arrival step, which yields the core's result count for arrival
+    * i; any core-local state lives in its closure.
+    */
+  private def sweep(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
+                    blockSize: Int, timedFrom: Int)
+                   (perCore: (Arrivals, Band, Int) => Int => Long): JoinStats = {
     require(cores >= 1)
+    require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
     val band        = Band(diff)
     val a           = Arrivals(workload)
     val n           = a.length
@@ -40,31 +96,15 @@ object RoundRobinJoin {
     val t0 = System.nanoTime()
     val threads = (0 until cores).map { core =>
       val t = new Thread(() => {
-        val localR = new BPlusTree(fanout)
-        val localS = new BPlusTree(fanout)
-        val out    = new LongVec(16)
-        var res    = 0L
-        var block  = 0
+        val step  = perCore(a, band, core)
+        var res   = 0L
+        var block = 0
         while (block < n) {
           val end = math.min(n, block + blockSize)
           var i   = block
           while (i < end) {
             if (i == timedFrom && core == 0) steadyStart.set(System.nanoTime())
-            val isR = a.isR(i)
-            val k   = a.key(i)
-            val seq = a.streamSeq(i)
-            if (i >= timedFrom) {
-              // search: this core's share of the opposite window
-              out.clear()
-              (if (isR) localS else localR).rangeSearch(band.lo(k), band.hi(k), out)
-              res += out.size // local indexes hold only live tuples
-            }
-            // this core deletes the expired tuple and indexes the arrival
-            // only where it owns their seqs
-            val own = if (isR) localR else localS
-            val exp = seq - (if (isR) wR else wS)
-            if (exp >= 0 && exp % cores == core) own.delete(a.keys(isR)(exp), exp)
-            if (seq % cores == core) own.insert(k, seq)
+            res += step(i)
             i += 1
           }
           barrier.await()
@@ -73,57 +113,6 @@ object RoundRobinJoin {
         resultTotal.addAndGet(res)
         ()
       }, s"rr-core-$core")
-      t.setDaemon(true); t.start(); t
-    }
-    threads.foreach(_.join())
-    val from = if (steadyStart.get == 0) t0 else steadyStart.get
-    JoinStats(n - math.min(timedFrom, n), resultTotal.get, System.nanoTime() - from)
-  }
-
-  /** Multithreaded NLWJ on round-robin partitions: each core linearly
-    * scans its share (`seq % P == core`) of the opposite window.
-    */
-  def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
-           blockSize: Int = 1024, timedFrom: Int = 0): JoinStats = {
-    require(cores >= 1)
-    val band        = Band(diff)
-    val a           = Arrivals(workload)
-    val n           = a.length
-    val resultTotal = new AtomicLong(0)
-    val barrier     = new CyclicBarrier(cores)
-    val steadyStart = new AtomicLong(0)
-
-    val t0 = System.nanoTime()
-    val threads = (0 until cores).map { core =>
-      val t = new Thread(() => {
-        var res   = 0L
-        var block = 0
-        while (block < n) {
-          val end = math.min(n, block + blockSize)
-          var i   = block
-          while (i < end) {
-            if (i == timedFrom && core == 0) steadyStart.set(System.nanoTime())
-            val oppR = a.probesR(i)
-            val k    = a.key(i)
-            val tl   = a.oppHead(i)
-            if (tl >= 0 && i >= timedFrom) {
-              val oppKeys = a.keys(oppR)
-              val te      = Arrivals.windowStart(tl, if (oppR) wR else wS)
-              // start at the first owned seq >= te
-              var j = te + ((core - te % cores + cores) % cores)
-              while (j <= tl) {
-                if (band.matches(oppKeys(j), k)) res += 1
-                j += cores
-              }
-            }
-            i += 1
-          }
-          barrier.await()
-          block = end
-        }
-        resultTotal.addAndGet(res)
-        ()
-      }, s"rr-nlwj-$core")
       t.setDaemon(true); t.start(); t
     }
     threads.foreach(_.join())

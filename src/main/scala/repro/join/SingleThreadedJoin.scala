@@ -33,6 +33,7 @@ object SingleThreadedJoin {
     */
   def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, sink: ResultSink,
            selfJoin: Boolean = false, timedFrom: Int = 0): JoinStats = {
+    require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
     val band = Band(diff)
     val a    = Arrivals(workload, selfJoin)
     val n    = a.length
@@ -75,6 +76,7 @@ object SingleThreadedJoin {
            indexR: WindowIndex, indexS: WindowIndex, sink: ResultSink,
            selfJoin: Boolean = false, timers: StepTimers = null,
            timedFrom: Int = 0): JoinStats = {
+    require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
     val band  = Band(diff)
     val a     = Arrivals(workload, selfJoin)
     val n     = a.length

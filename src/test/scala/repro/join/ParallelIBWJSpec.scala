@@ -1,8 +1,11 @@
 package repro.join
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{StreamGen, TestRefs}
+import repro.core.LongVec
 import repro.index._
 
 class ParallelIBWJSpec extends AnyFunSuite {
@@ -46,6 +49,7 @@ class ParallelIBWJSpec extends AnyFunSuite {
   test("a negative diff is rejected at the API edge") {
     val wl = workload(20, 1 << 8, 8)
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, -1, pim(4), pim(4), 2, 1))
+    assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 0, 4, 2, pim(4), pim(4), 2, 1))
   }
 
   test("result propagation preserves arrival order") {
@@ -113,6 +117,37 @@ class ParallelIBWJSpec extends AnyFunSuite {
     new ParallelIBWJ(wl, w, w, diff, bw(), bw(), 8, 8).run(sink)
     val ref = TestRefs.referencePairs(wl, w, w, diff)
     assert(sink.pairs.sorted.toVector == ref.sorted)
+  }
+
+  test("a worker exception stops the join and run rethrows it") {
+    val w       = 128
+    val wl      = workload(4000, 1 << 12, 18)
+    val boom    = new IllegalStateException("the 100th insert fails")
+    val inserts = new AtomicInteger(0)
+    // a Bw-Tree whose 100th insert, counted over both windows, throws
+    def failingBw(): WindowIndex = new WindowIndex {
+      private val bw = new BwTree(1 << 12, 2 * w, targetLeafSize = 16)
+      def name: String = "failing Bw-Tree"
+      def insert(key: Int, ref: Int): Unit = {
+        if (inserts.incrementAndGet() == 100) throw boom
+        bw.insert(key, ref)
+      }
+      def expire(key: Int, ref: Int): Unit = bw.expire(key, ref)
+      def rangeSearch(lo: Int, hi: Int, out: LongVec): Unit = bw.rangeSearch(lo, hi, out)
+      def maintain(validFrom: Int): Unit = bw.maintain(validFrom)
+      def size: Int = bw.size
+      def memoryBytes: Long = bw.memoryBytes
+    }
+    val join   = new ParallelIBWJ(wl, w, w, 20, failingBw(), failingBw(), 4, 8)
+    val thrown = new AtomicReference[Throwable]
+    val runner = new Thread(() =>
+      try { join.run(new CountingSink); () }
+      catch { case e: Throwable => thrown.set(e) })
+    runner.setDaemon(true)
+    runner.start()
+    runner.join(10000)
+    assert(!runner.isAlive, "run() did not return within 10 s of a worker failing")
+    assert(thrown.get eq boom)
   }
 
   test("parallel equals single-threaded on a larger run (count + checksum)") {

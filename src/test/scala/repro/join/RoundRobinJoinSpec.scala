@@ -57,6 +57,8 @@ class RoundRobinJoinSpec extends AnyFunSuite {
     val wl = workload(20, 1 << 8, 6)
     assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 4, 4, -1, 2))
     assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 4, -1, 2))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 0, 4, 2, 2))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 0, 2, 2))
   }
 
   test("block size does not change results") {

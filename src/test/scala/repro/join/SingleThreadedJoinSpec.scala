@@ -110,6 +110,9 @@ class SingleThreadedJoinSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](SingleThreadedJoin.nlwj(wl, 4, 4, -1, new CountingSink))
     assertThrows[IllegalArgumentException](
       SingleThreadedJoin.ibwj(wl, 4, 4, -1, new BPlusWindowIndex(8), new BPlusWindowIndex(8), new CountingSink))
+    assertThrows[IllegalArgumentException](SingleThreadedJoin.nlwj(wl, 0, 4, 2, new CountingSink))
+    assertThrows[IllegalArgumentException](
+      SingleThreadedJoin.ibwj(wl, 4, 0, 2, new BPlusWindowIndex(8), new BPlusWindowIndex(8), new CountingSink))
   }
 
   test("window of size 1 keeps only the latest opposite tuple") {
