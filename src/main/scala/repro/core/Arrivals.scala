@@ -10,6 +10,10 @@ import repro.StreamGen.Workload
   * it probes is `oppHead(i)` (t_l, -1 if none), so that window is the seq
   * range [`windowStart(oppHead(i), w)`, `oppHead(i)`]. A self-join has one
   * stream: every arrival is an R tuple, probes R, and `keysS eq keysR`.
+  *
+  * The arrays are the run of one [[Arrivals.Cursor]] over the whole
+  * workload; a runner that must not hold per-arrival state uses cursors
+  * directly.
   */
 final class Arrivals(workload: Workload, selfJoin: Boolean) {
   val length: Int = workload.length
@@ -20,13 +24,11 @@ final class Arrivals(workload: Workload, selfJoin: Boolean) {
   val keysS: Array[Int] = if (selfJoin) keysR else new Array[Int](length - keysR.length)
 
   locally {
-    var r = 0; var s = 0; var i = 0
+    val c = new Arrivals.Cursor(workload, selfJoin)
+    var i = 0
     while (i < length) {
-      if (isR(i)) {
-        streamSeq(i) = r; oppHead(i) = if (selfJoin) r - 1 else s - 1; keysR(r) = workload.keys(i); r += 1
-      } else {
-        streamSeq(i) = s; oppHead(i) = r - 1; keysS(s) = workload.keys(i); s += 1
-      }
+      c.next(i)
+      streamSeq(i) = c.seq; oppHead(i) = c.oppHead; keys(c.isR)(c.seq) = workload.keys(i)
       i += 1
     }
   }
@@ -40,17 +42,6 @@ final class Arrivals(workload: Workload, selfJoin: Boolean) {
   @inline def key(i: Int): Int = workload.keys(i)
 
   @inline def keys(r: Boolean): Array[Int] = if (r) keysR else keysS
-
-  /** Arrival index of each seq of stream R or S: the inverse of `streamSeq`. */
-  def arrivalIndex(r: Boolean): Array[Int] = {
-    val idx = new Array[Int](keys(r).length)
-    var i   = 0
-    while (i < length) {
-      if (selfJoin || workload.fromR(i) == r) idx(streamSeq(i)) = i
-      i += 1
-    }
-    idx
-  }
 }
 
 object Arrivals {
@@ -58,4 +49,32 @@ object Arrivals {
 
   /** Oldest seq of a window of `w` tuples whose newest seq is `head`. */
   @inline def windowStart(head: Int, w: Int): Int = math.max(0, head - w + 1)
+
+  /** The arrival geometry one arrival at a time, in O(1) space: fed the
+    * arrivals in order from any point whose stream counts it knows, it
+    * yields each one's stream, seq and t_l.
+    */
+  final class Cursor(workload: Workload, selfJoin: Boolean) {
+    /** R and S tuples before the next arrival. */
+    var r: Int = 0
+    var s: Int = 0
+    /** The arrival last passed to `next`. */
+    var isR: Boolean = false
+    var seq: Int     = 0
+    var oppHead: Int = -1
+
+    /** Whether the arrival last passed to `next` probes stream R. */
+    @inline def probesR: Boolean = selfJoin || !isR
+
+    /** Continue from where `c` stands. */
+    @inline def moveTo(c: Cursor): Unit = { r = c.r; s = c.s }
+
+    /** Step over arrival i, which must follow the arrivals already counted. */
+    @inline def next(i: Int): Unit =
+      if (selfJoin || workload.fromR(i)) {
+        isR = true; seq = r; oppHead = if (selfJoin) r - 1 else s - 1; r += 1
+      } else {
+        isR = false; seq = s; oppHead = r - 1; s += 1
+      }
+  }
 }

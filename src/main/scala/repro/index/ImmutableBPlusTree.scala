@@ -39,24 +39,35 @@ final class ImmutableBPlusTree private (
   def height: Int = if (leaves.isEmpty) 0 else depth + 1
 
   /** Index of the first element with key >= lo, or size if none. */
-  def lowerBound(lo: Int): Int = {
-    val len = leaves.length
-    if (len == 0) return 0
-    var idx = descend(lo, depth) * leafNodeSize
-    Telemetry.load(leafNodeSize.toLong * 8)
-    while (idx < len && Elem.key(leaves(idx)) < lo) idx += 1
-    idx
-  }
+  def lowerBound(lo: Int): Int =
+    if (leaves.length == 0) 0 else leafLowerBound(descend(lo, depth, 0).toInt, lo)
 
   /** Append every element with lo <= key <= hi to `out`, in key order. */
-  def rangeSearch(lo: Int, hi: Int, out: LongVec): Unit = {
-    val len = leaves.length
-    var idx = lowerBound(lo)
+  def rangeSearch(lo: Int, hi: Int, out: LongVec): Unit = { rangeSearchAt(lo, hi, 0, out); () }
+
+  /** `rangeSearch(lo, hi, out)` and `nodeIndexAtLevel(lo, level)` in one
+    * walk from the root (Algorithm 2): returns the node at `level` passed
+    * on the way down to `lo`'s leaf.
+    */
+  def rangeSearchAt(lo: Int, hi: Int, level: Int, out: LongVec): Int = {
+    val len  = leaves.length
+    val walk = if (len == 0) 0L else descend(lo, depth, level)
+    var idx  = if (len == 0) 0 else leafLowerBound(walk.toInt, lo)
     while (idx < len && Elem.key(leaves(idx)) <= hi) {
       out.add(leaves(idx))
       idx += 1
     }
     Telemetry.load((out.size + 1).toLong * 8)
+    (walk >>> 32).toInt
+  }
+
+  /** Index of the first element with key >= lo, searching from leaf node `leaf`. */
+  private def leafLowerBound(leaf: Int, lo: Int): Int = {
+    val len = leaves.length
+    var idx = leaf * leafNodeSize
+    Telemetry.load(leafNodeSize.toLong * 8)
+    while (idx < len && Elem.key(leaves(idx)) < lo) idx += 1
+    idx
   }
 
   /** Routing level actually usable as a PIM-Tree insertion depth: the
@@ -73,16 +84,18 @@ final class ImmutableBPlusTree private (
     * (the partition-routing walk of Algorithm 1, lines 1–7).
     */
   def nodeIndexAtLevel(key: Int, level: Int): Int =
-    if (depth == 0 || level == 0) 0 else descend(key, level)
+    if (depth == 0 || level == 0) 0 else descend(key, level, 0).toInt
 
   /** Walk from the root towards `key` down to `target` (an inner level, or
-    * `depth` for the leaf nodes) and return the BFS index of the node
-    * reached there. Indexes past a ragged right edge are capped at the
-    * level's last node.
+    * `depth` for the leaf nodes). Returns the BFS index of the node reached
+    * there in the low 32 bits, and of the node passed at level `mark` (at
+    * most `target`) in the high 32. Indexes past a ragged right edge are
+    * capped at the level's last node.
     */
-  private def descend(key: Int, target: Int): Int = {
-    var p = 0
-    var l = 0
+  private def descend(key: Int, target: Int, mark: Int): Long = {
+    var p      = 0
+    var marked = 0
+    var l      = 0
     while (l < target) {
       val base = levelOffsets(l) + p * fanout
       Telemetry.load(fanout.toLong * 4)
@@ -92,8 +105,9 @@ final class ImmutableBPlusTree private (
       l += 1
       val cap = if (l == depth) numLeafNodes else levelCounts(l)
       if (p >= cap) p = cap - 1
+      if (l == mark) marked = p
     }
-    p
+    (marked.toLong << 32) | p
   }
 
   /** Inclusive max key of the subtree under node `p` at `level`;

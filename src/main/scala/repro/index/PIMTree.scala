@@ -36,8 +36,8 @@ final class PIMTree(
     val ibLeafSize: Int = ImmutableBPlusTree.DefaultLeafNodeSize,
     val useLocks: Boolean = true,
 ) extends WindowIndex {
-  require(insertionDepth >= 0)
-  require(mergeThreshold >= 1)
+  require(insertionDepth >= 0, s"insertionDepth must be >= 0, got $insertionDepth")
+  require(mergeThreshold >= 1, s"mergeThreshold must be >= 1, got $mergeThreshold")
 
   /** One generation of the structure: `T_S` plus its attached partitions.
     * Swapped wholesale at merge time; readers pin a generation by reading
@@ -93,8 +93,8 @@ final class PIMTree(
 
   override def rangeSearch(lo: Int, hi: Int, out: LongVec): Unit = {
     val s = state
-    s.ts.rangeSearch(lo, hi, out) // lock-free: T_S never changes
-    var p = s.ts.nodeIndexAtLevel(lo, s.level)
+    // lock-free: T_S never changes; one walk finds lo's partition too
+    var p = s.ts.rangeSearchAt(lo, hi, s.level, out)
     if (useLocks) s.locks(p).lock()
     var done = false
     while (!done) {

@@ -1,6 +1,5 @@
 package repro.join
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicReference}
 import java.util.concurrent.locks.ReentrantLock
 
@@ -27,6 +26,14 @@ import repro.index.{PIMTree, WindowIndex}
   *    workers keep joining in no-index-update mode, then swaps and
   *    applies the pending inserts.
   *
+  * State is bounded by the windows and the tasks in flight, not by the
+  * stream (Section 4.1's circular buffers): each stream's keys and
+  * indexed flags live in a ring addressed by `seq & mask`, and each task
+  * in flight has one slot of a task ring holding its completion stamp and
+  * its results. A task is handed out only when its slot and the ring
+  * slots its seqs take are free; otherwise the workers propagate, advance
+  * edges and expire until they are.
+  *
   * Works over any thread-safe [[WindowIndex]]; merge coordination applies
   * when the indexes are [[PIMTree]]s, incremental expiry is used
   * otherwise (the Bw-Tree baseline).
@@ -47,30 +54,66 @@ final class ParallelIBWJ(
       * prefill for steady-state throughput measurement) */
     timedFrom: Int = 0,
 ) {
-  require(numThreads >= 1 && taskSize >= 1)
+  require(numThreads >= 1, s"numThreads must be >= 1, got $numThreads")
+  require(taskSize >= 1, s"taskSize must be >= 1, got $taskSize")
   require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
 
-  private val n = workload.length
+  import ParallelIBWJ._
+
+  private val n        = workload.length
+  private val numTasks = n / taskSize + (if (n % taskSize == 0) 0 else 1)
   @volatile private var steadyStart: Long = 0
 
-  private val band     = Band(diff)
-  private val arrivals = Arrivals(workload, selfJoin)
-  import arrivals.{keysR, keysS, oppHead, streamSeq}
-  val totalR: Int = keysR.length
-  val totalS: Int = keysS.length
+  private val band         = Band(diff)
+  private val mergeCapable = indexR.isInstanceOf[PIMTree]
+
+  // ---- task ring ------------------------------------------------------
+  // Task t covers arrivals [t * taskSize, (t + 1) * taskSize) and uses
+  // slot t & taskMask; four slots per worker let workers run ahead of a
+  // slow task before its result propagation holds them back.
+  private val taskSlots = pow2AtLeast(4L * numThreads)
+  private val taskMask  = taskSlots - 1
+  /** Number of the last task completed in each slot (the status word). */
+  private val completed = new AtomicIntegerArray(Array.fill(taskSlots)(-1))
+  /** Each slot's results: the opposite refs of its arrivals in arrival
+    * order, with arrival k's ending at `resultEnds(slot * taskSize + k)`.
+    */
+  private val results    = Array.fill(taskSlots)(new IntVec(64))
+  private val resultEnds = new Array[Int](taskSlots * taskSize)
+
+  // ---- stream windows -------------------------------------------------
+  /** One stream's sliding window: its index, and its keys and indexed
+    * flags in rings of `cap` slots, enough for the window plus a task per
+    * worker; beyond that, tasks wait for ring slots to free up.
+    */
+  private final class Window(val w: Int, val idx: WindowIndex) {
+    val cap: Int  = pow2AtLeast(w.toLong + numThreads.toLong * taskSize)
+    val mask: Int = cap - 1
+    /** Key of seq q at q & mask; written when q is handed out. */
+    val keys = new Array[Int](cap)
+    /** Seq last indexed in each slot: q is indexed iff slot q & mask reads q. */
+    val indexed = new AtomicIntegerArray(Array.fill(cap)(-1))
+    /** Earliest seq not yet indexed (the edge tuple). */
+    val edge     = new AtomicInteger(0)
+    val edgeLock = new ReentrantLock
+    /** Seqs whose arrivals have been propagated. */
+    @volatile var propagated = 0
+    /** Seqs deleted from a non-merging index. */
+    @volatile var expired = 0
+    val expLock = new ReentrantLock
+
+    @inline def key(seq: Int): Int = keys(seq & mask)
+  }
+
+  private val winR = new Window(wR, indexR)
+  private val winS = if (selfJoin) winR else new Window(wS, indexS)
+  @inline private def win(isR: Boolean): Window = if (isR) winR else winS
 
   // ---- shared mutable state -------------------------------------------
-  private val StatusAvailable  = 0
-  private val StatusActive     = 1
-  private val StatusCompleted  = 2
-  private val StatusPropagated = 3
-
-  private val statuses  = new AtomicIntegerArray(n)
-  private val results   = new Array[Array[Int]](n) // opposite refs per arrival
   private val queueLock = new ReentrantLock
   private var nextAvail = 0 // guarded by queueLock
-  private var assignedR = 0 // R-arrivals handed out, guarded by queueLock
-  private var assignedS = 0
+  /** Stream counts of the arrivals handed out; guarded by queueLock. */
+  private val assigned  = new Arrivals.Cursor(workload, selfJoin)
   private val activeTasks = new AtomicInteger(0)
   @volatile private var assignmentBlocked = false
   @volatile private var indexUpdatesSuspended = false // nonblocking merge phase 1
@@ -81,44 +124,16 @@ final class ParallelIBWJ(
   private val failure = new AtomicReference[Throwable](null)
 
   private val propLock = new ReentrantLock
-  private val propHead = new AtomicInteger(0)
+  /** Tasks propagated so far; written under propLock. */
+  @volatile private var propTask = 0
+  /** Stream counts of the propagated arrivals; guarded by propLock. */
+  private val propagated = new Arrivals.Cursor(workload, selfJoin)
 
-  private val edgeR     = new AtomicInteger(0)
-  private val edgeS     = if (selfJoin) edgeR else new AtomicInteger(0)
-  private val edgeLockR = new ReentrantLock
-  private val edgeLockS = if (selfJoin) edgeLockR else new ReentrantLock
-  private val indexedR  = new AtomicIntegerArray(math.max(1, totalR))
-  private val indexedS  = if (selfJoin) indexedR else new AtomicIntegerArray(math.max(1, totalS))
-
-  /** (isR, seq) pairs processed during nonblocking-merge phase 1, to be
-    * applied as pending updates in phase 2. Packed: seq | isR << 32.
-    */
-  private val pendingInserts = new ConcurrentLinkedQueue[java.lang.Long]
-
-  // ---- incremental expiry (non-merging indexes, e.g. the Bw-Tree) ----
-  // A tuple with stream seq e may only be deleted once every probe whose
-  // window can contain it has finished. Those are exactly the arrivals
-  // before the own-stream arrival with seq e + w; once that arrival has
-  // been *propagated* (propagation is in arrival order), all earlier
-  // probes are complete and e is dead. Deleting eagerly instead loses
-  // results for in-flight older probes — a real race caught in tests.
-  // Merging indexes never expire incrementally, so they need no arrival index.
-  private val arrIdxOfR = if (mergeCapable) null else arrivals.arrivalIndex(r = true)
-  private val arrIdxOfS = if (mergeCapable || selfJoin) arrIdxOfR else arrivals.arrivalIndex(r = false)
-  private val expLockR = new ReentrantLock
-  private val expLockS = if (selfJoin) expLockR else new ReentrantLock
-  private var nextExpR = 0 // guarded by expLockR
-  private var nextExpS = 0 // guarded by expLockS
-
-  // latency accounting (Fig. 10d): acquisition -> propagation, nanos
-  private val acquiredAt = if (trackLatency) new Array[Long](n) else null
-  val latencySumNanos    = new AtomicLong(0)
-  val latencyCount       = new AtomicLong(0)
+  // latency accounting (Fig. 10d): acquisition -> completion, nanos
+  val latencySumNanos = new AtomicLong(0)
+  val latencyCount    = new AtomicLong(0)
 
   val resultCount = new AtomicLong(0)
-
-  private def idxFor(isR: Boolean): WindowIndex = if (isR) indexR else indexS
-  private def mergeCapable: Boolean = indexR.isInstanceOf[PIMTree]
 
   // ---------------------------------------------------------------- run
 
@@ -140,7 +155,7 @@ final class ParallelIBWJ(
     threads.foreach(_.join())
     val end = System.nanoTime()
     if (failure.get != null) throw failure.get
-    require(propHead.get == n, s"join did not drain: propagated=${propHead.get} of $n")
+    require(propTask == numTasks, s"join did not drain: propagated $propTask of $numTasks tasks")
     val from = if (steadyStart == 0) t0 else steadyStart
     JoinStats(n - math.min(timedFrom, n), resultCount.get, end - from)
   }
@@ -148,177 +163,205 @@ final class ParallelIBWJ(
   // ------------------------------------------------------------ workers
 
   private def workerLoop(sink: ResultSink): Unit = {
-    val out = new LongVec(64)
-    val acc = new IntVec(64)
-    while (propHead.get < n && failure.get == null) {
+    val out  = new LongVec(64)
+    val cur  = new Arrivals.Cursor(workload, selfJoin)
+    var idle = 0
+    while (propTask < numTasks && failure.get == null) {
       if (mergeCapable && !mergeOwner.get && needsAnyMerge && mergeOwner.compareAndSet(false, true)) {
         try runMerge()
         finally mergeOwner.set(false)
       }
-      val task = acquireTask()
-      if (task < 0) {
-        tryPropagate(sink)
-        Thread.onSpinWait()
-      } else {
-        val end = math.min(n, task + taskSize)
-        var i   = task
-        while (i < end) {
-          processArrival(i, out, acc)
-          i += 1
-        }
+      val task = acquireTask(cur)
+      if (task >= 0) {
+        processTask(task, cur, out)
         activeTasks.decrementAndGet()
-        tryAdvanceEdges()
-        tryPropagate(sink)
-        if (!mergeCapable) tryExpire()
+        idle = 0
+      } else {
+        pause(idle)
+        idle += 1
       }
+      tryAdvanceEdges()
+      tryPropagate(sink)
+      if (!mergeCapable) tryExpire()
     }
     if (!mergeCapable) tryExpire()
   }
 
-  /** Delete tuples proven dead by the propagation barrier (see the field
-    * comment above) — non-merging shared indexes only.
+  /** Hands out the next task and sets `cur` to the stream counts before
+    * it; returns the task's number, or -1 when assignment is blocked,
+    * the stream is exhausted, or the task's ring slots are not free yet.
     */
-  private def tryExpire(): Unit = {
-    expireSide(expLockR, indexR, keysR, arrIdxOfR, wR, isR = true)
-    if (!selfJoin) expireSide(expLockS, indexS, keysS, arrIdxOfS, wS, isR = false)
-  }
-
-  private def expireSide(lock: ReentrantLock, idx: WindowIndex, keys: Array[Int],
-                         arrIdx: Array[Int], w: Int, isR: Boolean): Unit = {
-    if (lock.tryLock()) {
-      try {
-        val ph = propHead.get
-        var e  = if (isR) nextExpR else nextExpS
-        while (e + w < keys.length && arrIdx(e + w) < ph) {
-          idx.expire(keys(e), e)
-          e += 1
-        }
-        if (isR) nextExpR = e else nextExpS = e
-      } finally lock.unlock()
-    }
-  }
-
-  /** Returns the first arrival index of the acquired task, or -1. */
-  private def acquireTask(): Int = {
+  private def acquireTask(cur: Arrivals.Cursor): Int = {
     if (assignmentBlocked) return -1
     queueLock.lock()
     try {
-      if (assignmentBlocked || nextAvail >= n) -1
+      val t = nextAvail / taskSize
+      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots ||
+          !fits(winR, assigned.r) || (!selfJoin && !fits(winS, assigned.s))) -1
       else {
         val start = nextAvail
         val end   = math.min(n, start + taskSize)
         nextAvail = end
         if (steadyStart == 0 && start <= timedFrom && timedFrom < end)
           steadyStart = System.nanoTime()
-        // the available->active transition is implicit in nextAvail (the
-        // queue pointer IS the assignment record); per-tuple status only
-        // needs the completed/propagated writes on the hot path
+        cur.moveTo(assigned)
         var i = start
-        val now = if (trackLatency) System.nanoTime() else 0L
         while (i < end) {
-          if (trackLatency) acquiredAt(i) = now
-          if (arrivals.isR(i)) assignedR += 1 else assignedS += 1
+          assigned.next(i)
+          val x = win(assigned.isR)
+          x.keys(assigned.seq & x.mask) = workload.keys(i)
           i += 1
         }
         // counted inside the lock so the merger's quiescence wait is exact
         activeTasks.incrementAndGet()
-        start
+        t
       }
     } finally queueLock.unlock()
   }
 
-  /** Result generation + index update for one arrival (steps 2–3). */
-  private def processArrival(i: Int, out: LongVec, acc: IntVec): Unit = {
-    val isR     = arrivals.isR(i)
-    val k       = arrivals.key(i)
-    val seq     = streamSeq(i)
-    val oppIsR  = arrivals.probesR(i)
-    val oppKeys = if (oppIsR) keysR else keysS
-    val tl      = oppHead(i)
-    val te      = Arrivals.windowStart(tl, if (oppIsR) wR else wS)
-    val edge    = if (oppIsR) edgeR.get else edgeS.get // snapshot before probing
+  /** Whether a task's worth of new seqs of `x`, from `next` on, finds its
+    * ring slots free: the seqs they held must be older than every seq an
+    * in-flight probe, the edge advance or expiry can still read.
+    */
+  private def fits(x: Window, next: Int): Boolean = {
+    val oldestRead = math.min(x.edge.get, if (mergeCapable) x.propagated - x.w else x.expired)
+    next + taskSize - x.cap <= oldestRead
+  }
 
-    acc.clear()
-    if (tl >= 0) {
-      out.clear()
-      idxFor(oppIsR).rangeSearch(band.lo(k), band.hi(k), out)
-      var j = 0
-      while (j < out.size) {
-        val ref = Elem.ref(out(j))
-        // keep index hits strictly before the edge snapshot; the linear
-        // scan below owns [edge, t_l] — no duplicates either way
-        if (ref >= te && ref <= tl && ref < edge) acc.add(ref)
-        j += 1
+  /** Result generation + index update (steps 2–3) for task t's arrivals;
+    * `cur` stands at the task's first arrival.
+    */
+  private def processTask(t: Int, cur: Arrivals.Cursor, out: LongVec): Unit = {
+    val acquiredAt = if (trackLatency) System.nanoTime() else 0L
+    val slot   = t & taskMask
+    val res    = results(slot)
+    val start  = t * taskSize
+    val end    = math.min(n, start + taskSize)
+    val update = !indexUpdatesSuspended // fixed for a task: merges flip it under quiescence
+    var latency = 0L
+    res.clear()
+    var i = start
+    while (i < end) {
+      cur.next(i)
+      val k   = workload.keys(i)
+      val opp = win(cur.probesR)
+      val tl  = cur.oppHead
+      if (tl >= 0) {
+        val te   = Arrivals.windowStart(tl, opp.w)
+        val edge = opp.edge.get // snapshot before probing
+        out.clear()
+        opp.idx.rangeSearch(band.lo(k), band.hi(k), out)
+        var j = 0
+        while (j < out.size) {
+          val ref = Elem.ref(out(j))
+          // keep index hits strictly before the edge snapshot; the linear
+          // scan below owns [edge, t_l] — no duplicates either way
+          if (ref >= te && ref <= tl && ref < edge) res.add(ref)
+          j += 1
+        }
+        val scanFrom = math.max(te, edge)
+        var s = scanFrom
+        while (s <= tl) {
+          if (band.matches(opp.key(s), k)) res.add(s)
+          s += 1
+        }
+        // non-indexed window region is read linearly (Fig. 11d: this grows
+        // with thread count and shifts the traffic split toward loads)
+        if (tl >= scanFrom) repro.core.Telemetry.load((tl - scanFrom + 1).toLong * 4)
       }
-      val scanFrom = math.max(te, edge)
-      var s = scanFrom
-      while (s <= tl) {
-        if (band.matches(oppKeys(s), k)) acc.add(s)
-        s += 1
+      resultEnds(slot * taskSize + i - start) = res.size
+      // ---- index update; in merge phase 1 the merger inserts it later ----
+      if (update) {
+        val own = win(cur.isR)
+        own.idx.insert(k, cur.seq)
+        own.indexed.lazySet(cur.seq & own.mask, cur.seq)
       }
-      // non-indexed window region is read linearly (Fig. 11d: this grows
-      // with thread count and shifts the traffic split toward loads)
-      if (tl >= scanFrom) repro.core.Telemetry.load((tl - scanFrom + 1).toLong * 4)
+      // latency = task processing time (the paper's Fig 10d metric):
+      // acquisition -> completion, not propagation (ordering backlog would
+      // swamp the task-size signal)
+      if (trackLatency) latency += System.nanoTime() - acquiredAt
+      i += 1
     }
-    results(i) = acc.toArray
-
-    // ---- index update ----
-    if (indexUpdatesSuspended && mergeCapable) {
-      pendingInserts.add(java.lang.Long.valueOf(seq.toLong | (if (isR) 1L << 40 else 0L)))
-    } else {
-      val ownIdx = idxFor(isR)
-      ownIdx.insert(k, seq)
-      (if (isR) indexedR else indexedS).set(seq, 1)
-    }
-    statuses.set(i, StatusCompleted)
-    // latency = task processing time (the paper's Fig 10d metric):
-    // acquisition -> completion, not propagation (ordering backlog would
-    // swamp the task-size signal)
     if (trackLatency) {
-      latencySumNanos.addAndGet(System.nanoTime() - acquiredAt(i))
-      latencyCount.incrementAndGet()
+      latencySumNanos.addAndGet(latency)
+      latencyCount.addAndGet(end - start)
+    }
+    completed.lazySet(slot, t)
+  }
+
+  /** Delete tuples proven dead by the propagation barrier — non-merging
+    * shared indexes only. A tuple with stream seq e may only be deleted
+    * once every probe whose window can contain it has finished: those are
+    * exactly the arrivals before the own-stream arrival with seq e + w, so
+    * e is dead once that arrival has been propagated (propagation is in
+    * arrival order). Deleting eagerly instead loses results for in-flight
+    * older probes — a real race caught in tests.
+    */
+  private def tryExpire(): Unit = {
+    expire(winR)
+    if (!selfJoin) expire(winS)
+  }
+
+  private def expire(x: Window): Unit = {
+    if (x.expLock.tryLock()) {
+      try {
+        val dead = x.propagated - x.w
+        var e    = x.expired
+        while (e < dead) {
+          x.idx.expire(x.key(e), e)
+          e += 1
+        }
+        x.expired = e
+      } finally x.expLock.unlock()
     }
   }
 
   /** Edge-tuple advance with the paper's test-and-set fast path. */
   private def tryAdvanceEdges(): Unit = {
-    advanceEdge(edgeLockR, edgeR, indexedR, totalR)
-    if (!selfJoin) advanceEdge(edgeLockS, edgeS, indexedS, totalS)
+    advanceEdge(winR)
+    if (!selfJoin) advanceEdge(winS)
   }
 
-  private def advanceEdge(lock: ReentrantLock, edge: AtomicInteger,
-                          indexed: AtomicIntegerArray, total: Int): Unit = {
-    if (lock.tryLock()) {
+  private def advanceEdge(x: Window): Unit = {
+    if (x.edgeLock.tryLock()) {
       try {
-        var e = edge.get
-        while (e < total && indexed.get(e) == 1) e += 1
-        edge.set(e)
-      } finally lock.unlock()
+        var e = x.edge.get
+        while (x.indexed.get(e & x.mask) == e) e += 1
+        x.edge.set(e)
+      } finally x.edgeLock.unlock()
     }
   }
 
-  /** In-order result propagation (step 4); skipped if another thread
-    * holds the propagation mutex.
+  /** In-order result propagation (step 4), a completed task at a time;
+    * skipped if another thread holds the propagation mutex.
     */
   private def tryPropagate(sink: ResultSink): Unit = {
     if (propLock.tryLock()) {
       try {
-        var h = propHead.get
-        while (h < n && statuses.get(h) == StatusCompleted) {
-          val isR  = arrivals.isR(h)
-          val seq  = streamSeq(h)
-          val res  = results(h)
+        var t = propTask
+        while (t < numTasks && completed.get(t & taskMask) == t) {
+          val slot  = t & taskMask
+          val res   = results(slot)
+          val start = t * taskSize
+          val end   = math.min(n, start + taskSize)
           var j = 0
-          while (j < res.length) {
-            if (isR) sink.emit(seq, res(j)) else sink.emit(res(j), seq)
-            j += 1
+          var i = start
+          while (i < end) {
+            propagated.next(i)
+            val seq  = propagated.seq
+            val last = resultEnds(slot * taskSize + i - start)
+            while (j < last) {
+              if (propagated.isR) sink.emit(seq, res(j)) else sink.emit(res(j), seq)
+              j += 1
+            }
+            i += 1
           }
-          resultCount.addAndGet(res.length.toLong)
-          results(h) = null
-          statuses.set(h, StatusPropagated)
-          h += 1
+          resultCount.addAndGet(res.size.toLong)
+          winR.propagated = propagated.r
+          if (!selfJoin) winS.propagated = propagated.s
+          t += 1
+          propTask = t
         }
-        propHead.set(h)
       } finally propLock.unlock()
     }
   }
@@ -329,20 +372,19 @@ final class ParallelIBWJ(
     indexR.asInstanceOf[PIMTree].needsMerge ||
       (!selfJoin && indexS.asInstanceOf[PIMTree].needsMerge)
 
-  /** Earliest live ref of stream X given how many of its tuples have been
+  /** Earliest live ref of a stream given how many of its tuples have been
     * handed out (head = assigned - 1, live = [head - w + 1, head]).
     */
-  private def validFrom(isR: Boolean): Int = {
-    val (assigned, w) = if (isR) (assignedR, wR) else (assignedS, wS)
-    math.max(0, assigned - w)
-  }
+  private def validFrom(x: Window): Int =
+    math.max(0, (if (x eq winR) assigned.r else assigned.s) - x.w)
 
   /** Block task assignment and wait until running tasks drain. */
   private def quiesce(): Unit = {
     queueLock.lock()
     try assignmentBlocked = true
     finally queueLock.unlock()
-    while (activeTasks.get > 0 && failure.get == null) Thread.onSpinWait()
+    var spins = 0
+    while (activeTasks.get > 0 && failure.get == null) { pause(spins); spins += 1 }
   }
 
   private def resume(): Unit = assignmentBlocked = false
@@ -356,8 +398,12 @@ final class ParallelIBWJ(
       quiesce()
       val mergeR = pimR.needsMerge
       val mergeS = !selfJoin && pimS.needsMerge
-      val vfR = validFrom(isR = true)
-      val vfS = validFrom(isR = false)
+      val vfR = validFrom(winR)
+      val vfS = validFrom(winS)
+      // the arrivals handed out from here to phase 2 are not indexed
+      val pending     = new Arrivals.Cursor(workload, selfJoin)
+      val pendingFrom = nextAvail
+      pending.moveTo(assigned)
       indexUpdatesSuspended = true
       resume()
       val newR = if (mergeR) pimR.buildMergedState(vfR) else null
@@ -365,26 +411,44 @@ final class ParallelIBWJ(
       // phase 2: swap under quiescence, then apply pending updates while
       // normal processing restarts
       quiesce()
+      val pendingTo = nextAvail
       if (newR != null) pimR.installState(newR)
       if (newS != null) pimS.installState(newS)
       indexUpdatesSuspended = false
       resume()
-      var p = pendingInserts.poll()
-      while (p != null) {
-        val packed = p.longValue()
-        val isR    = (packed & (1L << 40)) != 0
-        val seq    = (packed & 0xffffffffL).toInt
-        idxFor(isR).insert(arrivals.keys(isR)(seq), seq)
-        (if (isR) indexedR else indexedS).set(seq, 1)
-        p = pendingInserts.poll()
+      var i = pendingFrom
+      while (i < pendingTo) {
+        pending.next(i)
+        val x = win(pending.isR)
+        x.idx.insert(workload.keys(i), pending.seq)
+        x.indexed.lazySet(pending.seq & x.mask, pending.seq)
+        i += 1
       }
       tryAdvanceEdges()
     } else {
       // blocking merge: everything stalls for the duration
       quiesce()
-      if (pimR.needsMerge) pimR.merge(validFrom(isR = true))
-      if (!selfJoin && pimS.needsMerge) pimS.merge(validFrom(isR = false))
+      if (pimR.needsMerge) pimR.merge(validFrom(winR))
+      if (!selfJoin && pimS.needsMerge) pimS.merge(validFrom(winS))
       resume()
     }
+  }
+}
+
+object ParallelIBWJ {
+  /** Busy-wait rounds before a waiting thread starts yielding its core,
+    * so idle workers do not starve busy ones when threads outnumber cores.
+    */
+  private val SpinRounds = 64
+
+  private def pause(round: Int): Unit =
+    if (round < SpinRounds) Thread.onSpinWait() else Thread.`yield`()
+
+  /** Smallest power of two >= x. */
+  private def pow2AtLeast(x: Long): Int = {
+    require(x <= (1 << 30), s"ring of $x slots is too large")
+    var c = 1
+    while (c < x) c <<= 1
+    c
   }
 }

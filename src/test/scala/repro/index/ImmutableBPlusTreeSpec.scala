@@ -147,6 +147,26 @@ class ImmutableBPlusTreeSpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("property: rangeSearchAt is rangeSearch plus nodeIndexAtLevel in one walk") {
+    val shape = for {
+      keys   <- Gen.listOf(Gen.chooseNum(-50, 2000))
+      fanout <- Gen.chooseNum(2, 8)
+      leaf   <- Gen.chooseNum(1, 8)
+      lo     <- Gen.chooseNum(-60, 2010)
+      width  <- Gen.chooseNum(0, 300)
+      lvl    <- Gen.chooseNum(0, 6)
+    } yield (keys, fanout, leaf, lo, width, lvl)
+    checkProp(Prop.forAll(shape) { case (keys, fanout, leaf, lo, width, lvl) =>
+      val t     = build(keys.zipWithIndex, fanout, leaf)
+      val level = lvl % math.max(1, t.depth)
+      val got   = new LongVec()
+      val want  = new LongVec()
+      val p     = t.rangeSearchAt(lo, lo + width, level, got)
+      t.rangeSearch(lo, lo + width, want)
+      p == t.nodeIndexAtLevel(lo, level) && got.toArray.sameElements(want.toArray)
+    }, minSuccessful = 300)
+  }
+
   test("property: rangeSearch equals filtered reference for odd shapes") {
     val gen = Gen.chooseNum(0, 300)
     checkProp(Prop.forAll(Gen.listOf(gen), gen, Gen.chooseNum(0, 50)) { (keys, a, width) =>

@@ -2,13 +2,16 @@ package repro.join
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{StreamGen, TestRefs}
+import repro.{PropSupport, StreamGen, TestRefs}
 import repro.core.LongVec
 import repro.index._
 
-class ParallelIBWJSpec extends AnyFunSuite {
+class ParallelIBWJSpec extends AnyFunSuite with PropSupport {
+  import ParallelIBWJSpec.RingCase
 
   private def workload(n: Int, keySpace: Int, seed: Long) =
     StreamGen.twoWay(StreamGen.uniform(n / 2, keySpace, seed),
@@ -50,6 +53,8 @@ class ParallelIBWJSpec extends AnyFunSuite {
     val wl = workload(20, 1 << 8, 8)
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, -1, pim(4), pim(4), 2, 1))
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 0, 4, 2, pim(4), pim(4), 2, 1))
+    assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, 2, pim(4), pim(4), 0, 1))
+    assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, 2, pim(4), pim(4), 2, 0))
   }
 
   test("result propagation preserves arrival order") {
@@ -188,6 +193,80 @@ class ParallelIBWJSpec extends AnyFunSuite {
     assert(stats.tuples == 0 && stats.results == 0)
   }
 
+  // ---- bounded state: the window and task rings -----------------------
+
+  /** Equals the reference and propagates in arrival order. */
+  private def ringCaseHolds(c: RingCase): Prop = {
+    val keys = StreamGen.uniform(c.n, 256, c.seed)
+    val wl   =
+      if (c.selfJoin) StreamGen.selfJoin(keys)
+      else StreamGen.twoWay(keys.take(c.n / 2), keys.drop(c.n / 2))
+    val diff = 3
+    // small fanouts give T_S several partitions even at these windows
+    def index(w: Int): WindowIndex =
+      if (c.bwTree) new BwTree(256, 2 * w, targetLeafSize = 4)
+      else new PIMTree(2, math.max(1, w / 4), bFanout = 4, ibFanout = 4, ibLeafSize = 4)
+    val iR   = index(c.wR)
+    val iS   = if (c.selfJoin) iR else index(c.wS)
+    val sink = new CollectingSink
+    new ParallelIBWJ(wl, c.wR, c.wS, diff, iR, iS, c.threads, c.taskSize, c.selfJoin, c.nonblocking).run(sink)
+    val groups = TestRefs.referenceGroups(wl, c.wR, c.wS, diff, c.selfJoin)
+    val got    = sink.pairs.toVector
+    (got.sorted == groups.flatten.sorted) :| "equals the reference" &&
+      (TestRefs.normalizeByGroups(got, groups) == groups.map(_.sorted)) :| "in arrival order"
+  }
+
+  private val windows = Seq(1, 2, 3, 7, 64)
+
+  // n >= 50·w and >= 2000 arrivals: every window's ring (at most 512 slots
+  // here) wraps several times, and merges (m = 0.25) fire mid-run
+  private val ringCases: Gen[RingCase] = for {
+    wR       <- Gen.oneOf(windows)
+    shape    <- Gen.oneOf("two-way", "self-join", "asymmetric")
+    wS       <- if (shape == "asymmetric") Gen.oneOf(windows.filter(_ != wR)) else Gen.const(wR)
+    extra    <- Gen.choose(0, 1500)
+    threads  <- Gen.choose(1, 8)
+    taskSize <- Gen.choose(1, 10)
+    bwTree   <- Gen.oneOf(false, true)
+    nonblock <- Gen.oneOf(true, false)
+    seed     <- Gen.choose(1L, 1L << 30)
+  } yield RingCase(math.max(2000, 50 * math.max(wR, wS)) + extra, wR, wS, threads, taskSize,
+                   shape == "self-join", bwTree, nonblock, seed)
+
+  test("property: the rings wrap under backpressure and lose, duplicate and reorder nothing") {
+    checkProp(Prop.forAll(ringCases)(ringCaseHolds), minSuccessful = 40)
+  }
+
+  test("a one-tuple window with 10-arrival tasks at 8 threads wraps its rings correctly") {
+    for (selfJoin <- Seq(false, true); bwTree <- Seq(false, true))
+      assert(ringCaseHolds(RingCase(3000, 1, 1, 8, 10, selfJoin, bwTree, nonblocking = true, 5L))
+               .apply(Gen.Parameters.default).success, s"selfJoin=$selfJoin bwTree=$bwTree")
+  }
+
+  test("retained heap does not grow with the stream, only the input does") {
+    val w = 1 << 12
+    def usedAfterGc(): Long = {
+      val rt = Runtime.getRuntime
+      (0 until 3).map { _ => System.gc(); rt.totalMemory - rt.freeMemory }.min
+    }
+    /** Used heap with a finished join over n arrivals still reachable, and its input's bytes. */
+    def retained(n: Int): (Long, Long) = {
+      val wl   = workload(n, 1 << 20, 19)
+      val join = new ParallelIBWJ(wl, w, w, 2, pim(w), pim(w), 4, 8)
+      join.run(new CountingSink)
+      val used = usedAfterGc()
+      java.lang.ref.Reference.reachabilityFence(join)
+      (used, wl.keys.length * 4L + wl.fromR.length)
+    }
+    retained(10 * w) // warm up: class loading and JIT state are not the join's
+    val (small, smallInput) = retained(10 * w)
+    val (large, largeInput) = retained(100 * w)
+    val growth = large - small
+    val bound  = largeInput - smallInput + (2L << 20)
+    info(s"used heap: ${small >> 10} KiB at n = 10·w, ${large >> 10} KiB at n = 100·w")
+    assert(growth < bound, s"heap grew by $growth B from n = 10·w to 100·w; the input alone by ${largeInput - smallInput} B")
+  }
+
   test("stress: repeated concurrent runs stay correct") {
     (0 until 5).foreach { trial =>
       val w    = 64
@@ -200,4 +279,9 @@ class ParallelIBWJSpec extends AnyFunSuite {
       assert(sink.pairs.sorted.toVector == ref.sorted, s"trial=$trial")
     }
   }
+}
+
+object ParallelIBWJSpec {
+  private final case class RingCase(n: Int, wR: Int, wS: Int, threads: Int, taskSize: Int,
+                                    selfJoin: Boolean, bwTree: Boolean, nonblocking: Boolean, seed: Long)
 }
