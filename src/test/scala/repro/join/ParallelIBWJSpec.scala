@@ -218,8 +218,9 @@ class ParallelIBWJSpec extends AnyFunSuite with PropSupport {
 
   private val windows = Seq(1, 2, 3, 7, 64)
 
-  // n >= 50·w and >= 2000 arrivals: every window's ring (at most 512 slots
-  // here) wraps several times, and merges (m = 0.25) fire mid-run
+  // n >= 50·w and >= 2000 arrivals: every key ring (at most 256 slots here)
+  // and task ring (at most 32) wraps many times, small rings make tasks
+  // wait for free slots, and merges (m = 0.25) fire mid-run
   private val ringCases: Gen[RingCase] = for {
     wR       <- Gen.oneOf(windows)
     shape    <- Gen.oneOf("two-way", "self-join", "asymmetric")
