@@ -138,19 +138,19 @@ object ExperimentsCore {
     } yield {
       val w = 1 << logW
       val b = steadyTwoWay(w, n)
-      val timers = new StepTimers
-      val stats = SingleThreadedJoin.ibwj(b.wl, w, w, b.diff, mk(w), mk(w),
-                                          new CountingSink, timers = timers,
+      val nanos = new StepNanos(b.timedFrom)
+      val stats = SingleThreadedJoin.ibwj(b.wl, w, w, b.diff, new StepTimedIndex(mk(w), nanos),
+                                          new StepTimedIndex(mk(w), nanos), new CountingSink,
                                           timedFrom = b.timedFrom)
       def per(x: Long) = Ns(x.toDouble / stats.tuples)
       Vector(
         "w"      -> Text(s"2^$logW"),
         "index"  -> Text(name),
-        "search" -> per(timers.searchNanos),
-        "scan"   -> per(math.max(0, timers.scanNanos - timers.searchNanos)),
-        "insert" -> per(timers.insertNanos),
-        "delete" -> per(timers.deleteNanos),
-        "merge"  -> per(timers.mergeNanos),
+        "search" -> per(nanos.search),
+        "scan"   -> per(math.max(0, nanos.scan - nanos.search)),
+        "insert" -> per(nanos.insert),
+        "delete" -> per(nanos.delete),
+        "merge"  -> per(nanos.merge),
       )
     }
     printTable("T5 (Fig 9b): per-tuple cost breakdown", rows)

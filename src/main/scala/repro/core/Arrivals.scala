@@ -2,59 +2,20 @@ package repro.core
 
 import repro.StreamGen.Workload
 
-/** Count-based arrival geometry of a workload (Section 2.1), derived once
-  * per join.
-  *
-  * Arrival i is tuple `streamSeq(i)` of its stream; stream-local seqs are
-  * the sliding-window refs. When it arrives, the newest tuple of the stream
-  * it probes is `oppHead(i)` (t_l, -1 if none), so that window is the seq
-  * range [`windowStart(oppHead(i), w)`, `oppHead(i)`]. A self-join has one
-  * stream: every arrival is an R tuple, probes R, and `keysS eq keysR`.
-  *
-  * The arrays are the run of one [[Arrivals.Cursor]] over the whole
-  * workload; a runner that must not hold per-arrival state uses cursors
-  * directly.
+/** Count-based arrival geometry of a workload (Section 2.1): stream-local
+  * seqs are the sliding-window refs.
   */
-final class Arrivals(workload: Workload, selfJoin: Boolean) {
-  val length: Int = workload.length
-  val streamSeq   = new Array[Int](length)
-  val oppHead     = new Array[Int](length)
-  /** Keys of each stream, addressed by stream seq. */
-  val keysR: Array[Int] = new Array[Int](if (selfJoin) length else workload.fromR.count(identity))
-  val keysS: Array[Int] = if (selfJoin) keysR else new Array[Int](length - keysR.length)
-
-  locally {
-    val c = new Arrivals.Cursor(workload, selfJoin)
-    var i = 0
-    while (i < length) {
-      c.next(i)
-      streamSeq(i) = c.seq; oppHead(i) = c.oppHead; keys(c.isR)(c.seq) = workload.keys(i)
-      i += 1
-    }
-  }
-
-  /** Whether arrival i is an R tuple (always, in a self-join). */
-  @inline def isR(i: Int): Boolean = selfJoin || workload.fromR(i)
-
-  /** Whether arrival i probes stream R: the opposite one, or its own in a self-join. */
-  @inline def probesR(i: Int): Boolean = selfJoin || !workload.fromR(i)
-
-  @inline def key(i: Int): Int = workload.keys(i)
-
-  @inline def keys(r: Boolean): Array[Int] = if (r) keysR else keysS
-}
-
 object Arrivals {
-  def apply(workload: Workload, selfJoin: Boolean = false): Arrivals = new Arrivals(workload, selfJoin)
-
   /** Oldest seq of a window of `w` tuples whose newest seq is `head`. */
   @inline def windowStart(head: Int, w: Int): Int = math.max(0, head - w + 1)
 
-  /** The arrival geometry one arrival at a time, in O(1) space: fed the
-    * arrivals in order from any point whose stream counts it knows, it
-    * yields each one's stream, seq and t_l.
+  /** The arrivals one at a time, in O(1) space: fed them in order from any
+    * point whose stream counts it knows, it yields each one's stream, its
+    * `seq`, and `oppHead`, the newest seq of the stream it probes (t_l, -1
+    * if none). A self-join has one stream: every arrival is an R tuple and
+    * probes R.
     */
-  final class Cursor(workload: Workload, selfJoin: Boolean) {
+  class Cursor(workload: Workload, selfJoin: Boolean) {
     /** R and S tuples before the next arrival. */
     var r: Int = 0
     var s: Int = 0
@@ -76,5 +37,28 @@ object Arrivals {
       } else {
         isR = false; seq = s; oppHead = r - 1; s += 1
       }
+  }
+}
+
+/** The keys of one stream's newest tuples (Section 4.1's circular
+  * buffer): seq q lives at slot `q & mask` of a power-of-two ring of at
+  * least `slots` slots, which holds the last `capacity` seqs written.
+  */
+final class KeyRing(slots: Long) {
+  val capacity: Int = KeyRing.pow2AtLeast(slots)
+  val mask: Int     = capacity - 1
+  private val keys  = new Array[Int](capacity)
+
+  @inline def apply(seq: Int): Int = keys(seq & mask)
+  @inline def update(seq: Int, key: Int): Unit = keys(seq & mask) = key
+}
+
+object KeyRing {
+  /** Smallest power of two >= x. */
+  def pow2AtLeast(x: Long): Int = {
+    require(x <= (1 << 30), s"ring of $x slots is too large")
+    var c = 1
+    while (c < x) c <<= 1
+    c
   }
 }

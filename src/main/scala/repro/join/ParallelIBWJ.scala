@@ -4,7 +4,7 @@ import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerA
 import java.util.concurrent.locks.ReentrantLock
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, Elem, IntVec, LongVec}
+import repro.core.{Arrivals, Band, Elem, IntVec, KeyRing, LongVec}
 import repro.index.{PIMTree, WindowIndex}
 
 /** Parallel index-based window join over *shared* indexes — the Section 4
@@ -71,7 +71,7 @@ final class ParallelIBWJ(
   // Task t covers arrivals [t * taskSize, (t + 1) * taskSize) and uses
   // slot t & taskMask; four slots per worker let workers run ahead of a
   // slow task before its result propagation holds them back.
-  private val taskSlots = pow2AtLeast(4L * numThreads)
+  private val taskSlots = KeyRing.pow2AtLeast(4L * numThreads)
   private val taskMask  = taskSlots - 1
   /** Number of the last task completed in each slot (the status word). */
   private val completed = new AtomicIntegerArray(Array.fill(taskSlots)(-1))
@@ -83,16 +83,14 @@ final class ParallelIBWJ(
 
   // ---- stream windows -------------------------------------------------
   /** One stream's sliding window: its index, and its keys and indexed
-    * flags in rings of `cap` slots, enough for the window plus a task per
-    * worker; beyond that, tasks wait for ring slots to free up.
+    * flags in rings of `keys.capacity` slots, enough for the window plus a
+    * task per worker; beyond that, tasks wait for ring slots to free up.
     */
   private final class Window(val w: Int, val idx: WindowIndex) {
-    val cap: Int  = pow2AtLeast(w.toLong + numThreads.toLong * taskSize)
-    val mask: Int = cap - 1
-    /** Key of seq q at q & mask; written when q is handed out. */
-    val keys = new Array[Int](cap)
+    /** Key of seq q, written when q is handed out. */
+    val keys = new KeyRing(w.toLong + numThreads.toLong * taskSize)
     /** Seq last indexed in each slot: q is indexed iff slot q & mask reads q. */
-    val indexed = new AtomicIntegerArray(Array.fill(cap)(-1))
+    val indexed = new AtomicIntegerArray(Array.fill(keys.capacity)(-1))
     /** Earliest seq not yet indexed (the edge tuple). */
     val edge     = new AtomicInteger(0)
     val edgeLock = new ReentrantLock
@@ -101,8 +99,6 @@ final class ParallelIBWJ(
     /** Seqs deleted from a non-merging index. */
     @volatile var expired = 0
     val expLock = new ReentrantLock
-
-    @inline def key(seq: Int): Int = keys(seq & mask)
   }
 
   private val winR = new Window(wR, indexR)
@@ -209,7 +205,7 @@ final class ParallelIBWJ(
         while (i < end) {
           assigned.next(i)
           val x = win(assigned.isR)
-          x.keys(assigned.seq & x.mask) = workload.keys(i)
+          x.keys(assigned.seq) = workload.keys(i)
           i += 1
         }
         // counted inside the lock so the merger's quiescence wait is exact
@@ -225,7 +221,7 @@ final class ParallelIBWJ(
     */
   private def fits(x: Window, next: Int): Boolean = {
     val oldestRead = math.min(x.edge.get, if (mergeCapable) x.propagated - x.w else x.expired)
-    next + taskSize - x.cap <= oldestRead
+    next + taskSize - x.keys.capacity <= oldestRead
   }
 
   /** Result generation + index update (steps 2–3) for task t's arrivals;
@@ -262,7 +258,7 @@ final class ParallelIBWJ(
         val scanFrom = math.max(te, edge)
         var s = scanFrom
         while (s <= tl) {
-          if (band.matches(opp.key(s), k)) res.add(s)
+          if (band.matches(opp.keys(s), k)) res.add(s)
           s += 1
         }
         // non-indexed window region is read linearly (Fig. 11d: this grows
@@ -274,7 +270,7 @@ final class ParallelIBWJ(
       if (update) {
         val own = win(cur.isR)
         own.idx.insert(k, cur.seq)
-        own.indexed.lazySet(cur.seq & own.mask, cur.seq)
+        own.indexed.lazySet(cur.seq & own.keys.mask, cur.seq)
       }
       // latency = task processing time (the paper's Fig 10d metric):
       // acquisition -> completion, not propagation (ordering backlog would
@@ -308,7 +304,7 @@ final class ParallelIBWJ(
         val dead = x.propagated - x.w
         var e    = x.expired
         while (e < dead) {
-          x.idx.expire(x.key(e), e)
+          x.idx.expire(x.keys(e), e)
           e += 1
         }
         x.expired = e
@@ -326,7 +322,7 @@ final class ParallelIBWJ(
     if (x.edgeLock.tryLock()) {
       try {
         var e = x.edge.get
-        while (x.indexed.get(e & x.mask) == e) e += 1
+        while (x.indexed.get(e & x.keys.mask) == e) e += 1
         x.edge.set(e)
       } finally x.edgeLock.unlock()
     }
@@ -421,7 +417,7 @@ final class ParallelIBWJ(
         pending.next(i)
         val x = win(pending.isR)
         x.idx.insert(workload.keys(i), pending.seq)
-        x.indexed.lazySet(pending.seq & x.mask, pending.seq)
+        x.indexed.lazySet(pending.seq & x.keys.mask, pending.seq)
         i += 1
       }
       tryAdvanceEdges()
@@ -443,12 +439,4 @@ object ParallelIBWJ {
 
   private def pause(round: Int): Unit =
     if (round < SpinRounds) Thread.onSpinWait() else Thread.`yield`()
-
-  /** Smallest power of two >= x. */
-  private def pow2AtLeast(x: Long): Int = {
-    require(x <= (1 << 30), s"ring of $x slots is too large")
-    var c = 1
-    while (c < x) c <<= 1
-    c
-  }
 }

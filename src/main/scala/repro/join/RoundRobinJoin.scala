@@ -4,7 +4,7 @@ import java.util.concurrent.CyclicBarrier
 import java.util.concurrent.atomic.AtomicLong
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, LongVec}
+import repro.core.{Arrivals, Band, KeyRing, LongVec}
 import repro.index.BPlusTree
 
 /** Context-insensitive (round-robin) window partitioning — the structure
@@ -29,23 +29,21 @@ object RoundRobinJoin {
     */
   def ibwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
            fanout: Int = 16, blockSize: Int = 1024, timedFrom: Int = 0): JoinStats =
-    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (a, band, core) =>
+    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (c, band, core) =>
       val localR = new BPlusTree(fanout)
       val localS = new BPlusTree(fanout)
       val out    = new LongVec(16)
       i => {
-        val isR = a.isR(i)
-        val k   = a.key(i)
-        val seq = a.streamSeq(i)
+        val k = workload.keys(i)
         // search: this core's share of the opposite window
         out.clear()
-        if (i >= timedFrom) (if (isR) localS else localR).rangeSearch(band.lo(k), band.hi(k), out)
+        if (i >= timedFrom) (if (c.isR) localS else localR).rangeSearch(band.lo(k), band.hi(k), out)
         // this core deletes the expired tuple and indexes the arrival
         // only where it owns their seqs
-        val own = if (isR) localR else localS
-        val exp = seq - (if (isR) wR else wS)
-        if (exp >= 0 && exp % cores == core) own.delete(a.keys(isR)(exp), exp)
-        if (seq % cores == core) own.insert(k, seq)
+        val own = if (c.isR) localR else localS
+        val exp = c.seq - (if (c.isR) wR else wS)
+        if (exp >= 0 && exp % cores == core) own.delete(c.keys(c.isR)(exp), exp)
+        if (c.seq % cores == core) own.insert(k, c.seq)
         out.size.toLong // local indexes hold only live tuples
       }
     }
@@ -55,15 +53,14 @@ object RoundRobinJoin {
     */
   def nlwj(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
            blockSize: Int = 1024, timedFrom: Int = 0): JoinStats =
-    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (a, band, core) =>
+    sweep(workload, wR, wS, diff, cores, blockSize, timedFrom) { (c, band, core) =>
       i => {
-        val oppR = a.probesR(i)
-        val k    = a.key(i)
-        val tl   = a.oppHead(i)
-        var res  = 0L
+        val k   = workload.keys(i)
+        val tl  = c.oppHead
+        var res = 0L
         if (tl >= 0 && i >= timedFrom) {
-          val oppKeys = a.keys(oppR)
-          val te      = Arrivals.windowStart(tl, if (oppR) wR else wS)
+          val oppKeys = c.keys(c.probesR)
+          val te      = Arrivals.windowStart(tl, if (c.probesR) wR else wS)
           // start at the first owned seq >= te
           var j = te + ((core - te % cores + cores) % cores)
           while (j <= tl) {
@@ -75,20 +72,31 @@ object RoundRobinJoin {
       }
     }
 
+  /** One core's cursor over the two-way stream, which also keeps each
+    * stream's last w keys before the current arrival.
+    */
+  private final class CoreCursor(workload: Workload, wR: Int, wS: Int)
+      extends Arrivals.Cursor(workload, selfJoin = false) {
+    val keysR = new KeyRing(wR)
+    val keysS = new KeyRing(wS)
+    @inline def keys(r: Boolean): KeyRing = if (r) keysR else keysS
+  }
+
   /** The round-robin scaffold both joins share: one thread per core sweeps
     * every arrival in blocks of `blockSize`, with a barrier between blocks.
-    * `perCore(arrivals, band, core)` runs on that core's thread and returns
+    * `perCore(cursor, band, core)` runs on that core's thread and returns
     * its per-arrival step, which yields the core's result count for arrival
-    * i; any core-local state lives in its closure.
+    * i while the cursor stands at it; the arrival's key enters the ring
+    * after the step. Any core-local state lives in the step's closure.
     */
   private def sweep(workload: Workload, wR: Int, wS: Int, diff: Int, cores: Int,
                     blockSize: Int, timedFrom: Int)
-                   (perCore: (Arrivals, Band, Int) => Int => Long): JoinStats = {
-    require(cores >= 1)
+                   (perCore: (CoreCursor, Band, Int) => Int => Long): JoinStats = {
+    require(cores >= 1, s"cores must be >= 1, got $cores")
+    require(blockSize >= 1, s"blockSize must be >= 1, got $blockSize")
     require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
     val band        = Band(diff)
-    val a           = Arrivals(workload)
-    val n           = a.length
+    val n           = workload.length
     val resultTotal = new AtomicLong(0)
     val barrier     = new CyclicBarrier(cores)
     val steadyStart = new AtomicLong(0)
@@ -96,7 +104,8 @@ object RoundRobinJoin {
     val t0 = System.nanoTime()
     val threads = (0 until cores).map { core =>
       val t = new Thread(() => {
-        val step  = perCore(a, band, core)
+        val c     = new CoreCursor(workload, wR, wS)
+        val step  = perCore(c, band, core)
         var res   = 0L
         var block = 0
         while (block < n) {
@@ -104,7 +113,9 @@ object RoundRobinJoin {
           var i   = block
           while (i < end) {
             if (i == timedFrom && core == 0) steadyStart.set(System.nanoTime())
+            c.next(i)
             res += step(i)
+            c.keys(c.isR)(c.seq) = workload.keys(i)
             i += 1
           }
           barrier.await()

@@ -7,8 +7,9 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, Elem, IntVec, LongVec}
+import repro.core.{Arrivals, Band, IntVec, LongVec}
 import repro.index.PIMTree
+import repro.join.{ResultSink, WindowJoin}
 
 /** The calibration target: the partitioned in-memory merge-tree join run
   * per key-range partition, one Spark task per partition, within
@@ -80,11 +81,15 @@ object MicroBatchPimJoin {
   private final val IsRFlag  = 1
   private final val HomeFlag = 2
 
+  @inline private def flags(isR: Boolean, home: Boolean): Int =
+    (if (isR) IsRFlag else 0) | (if (home) HomeFlag else 0)
   @inline private def packPair(rSeq: Int, sSeq: Int): Long = (rSeq.toLong << 32) | (sSeq & 0xffffffffL)
   @inline private def unpackPair(p: Long): OutPair = OutPair((p >>> 32).toInt, p.toInt)
 
   /** Single-partition joiner: two PIM-Trees (R and S sides) over the
-    * partition's key interval. Single-threaded per partition — Spark's
+    * partition's key interval, joined by one [[WindowJoin]] that indexes
+    * only the tuples this partition is home to (a PIM-Tree merges only
+    * right after an insert). Single-threaded per partition — Spark's
     * task-per-partition is the unit of parallelism here, so the window is
     * always fully indexed and no edge-tuple machinery is needed.
     */
@@ -93,63 +98,26 @@ object MicroBatchPimJoin {
       new PIMTree(cfg.insertionDepth,
                   math.max(1, (cfg.mergeRatio * w / cfg.numPartitions).toInt))
     private val indexR = mkIndex(cfg.wR)
-    private val indexS = mkIndex(cfg.wS)
-    private var headR  = -1 // highest R seq observed (either side)
-    private var headS  = -1
-    private val out    = new LongVec(64)
-
-    /** Join one arrival (arrivals come in gseq order): probe the opposite
-      * window over x's band, append each result pair to `res` packed as
-      * (rSeq << 32 | sSeq), index the arrival at its home, expire.
-      */
-    private def step(isR: Boolean, sseq: Int, oppHead: Int, x: Int, home: Boolean, res: LongVec): Unit = {
-      val oppR = cfg.selfJoin || !isR
-      if (oppHead >= 0) {
-        val te = Arrivals.windowStart(oppHead, if (oppR) cfg.wR else cfg.wS)
-        out.clear()
-        (if (oppR) indexR else indexS).rangeSearch(cfg.band.lo(x), cfg.band.hi(x), out)
-        var j = 0
-        while (j < out.size) {
-          val ref = Elem.ref(out(j))
-          if (ref >= te && ref <= oppHead)
-            res.add(if (isR) packPair(sseq, ref) else packPair(ref, sseq))
-          j += 1
-        }
-      }
-      // track stream heads from both own arrivals and observed oppHeads
-      if (isR) {
-        if (sseq > headR) headR = sseq
-        if (oppHead > headS) headS = oppHead
-      } else {
-        if (sseq > headS) headS = sseq
-        if (oppHead > headR) headR = oppHead
-      }
-      if (home) {
-        val ownIdx = if (cfg.selfJoin || isR) indexR else indexS
-        ownIdx.insert(x, sseq)
-      }
-      indexR.maintain(Arrivals.windowStart(headR, cfg.wR))
-      indexS.maintain(Arrivals.windowStart(headS, cfg.wS))
-    }
+    private val indexS = if (cfg.selfJoin) indexR else mkIndex(cfg.wS)
+    private val join   = new WindowJoin(cfg.wR, cfg.wS, cfg.diff, indexR, indexS, cfg.selfJoin)
 
     /** Join one routed slice (see [[processBatch]]); returns the packed pairs. */
     private[stream] def processSlice(slice: Array[Int]): Array[Long] = {
       val res = new LongVec(slice.length)
+      val sink: ResultSink = (rSeq, sSeq) => res.add(packPair(rSeq, sSeq))
       var i = 0
       while (i < slice.length) {
         val flags = slice(i + 3)
-        step((flags & IsRFlag) != 0, slice(i), slice(i + 1), slice(i + 2), (flags & HomeFlag) != 0, res)
+        join.offer((flags & IsRFlag) != 0, slice(i), slice(i + 1), slice(i + 2), (flags & HomeFlag) != 0, sink)
         i += RowInts
       }
       res.toArray
     }
 
     /** Process one batch slice, pre-sorted by gseq. */
-    def process(rows: Iterator[Routed]): Iterator[OutPair] = {
-      val res = new LongVec(64)
-      rows.foreach(r => step(r.isR, r.sseq, r.oppHead, r.x, r.home, res))
-      Iterator.tabulate(res.size)(i => unpackPair(res(i)))
-    }
+    def process(rows: Iterator[Routed]): Iterator[OutPair] =
+      processSlice(rows.flatMap(r => Iterator(r.sseq, r.oppHead, r.x, flags(r.isR, r.home))).toArray)
+        .iterator.map(unpackPair)
   }
 
   /** JVM singleton state, keyed by (jobId, partition). */
@@ -179,12 +147,10 @@ object MicroBatchPimJoin {
   private def slices(batch: Array[InTuple], cfg: Config): Array[Array[Int]] = {
     val parts = Array.fill(cfg.numPartitions)(new IntVec(RowInts * batch.length / cfg.numPartitions + RowInts))
     batch.foreach { t =>
-      val home  = cfg.partOf(t.x)
-      val flags = if (t.isR) IsRFlag else 0
+      val home = cfg.partOf(t.x)
       cfg.bandParts(t.x).foreach { p =>
         val v = parts(p)
-        v.add(t.sseq); v.add(t.oppHead); v.add(t.x)
-        v.add(if (p == home) flags | HomeFlag else flags)
+        v.add(t.sseq); v.add(t.oppHead); v.add(t.x); v.add(flags(t.isR, p == home))
       }
     }
     parts.map(_.toArray)
@@ -210,8 +176,8 @@ object MicroBatchPimJoin {
 
   /** Convert a generated workload into arrival tuples. */
   def toTuples(workload: Workload, selfJoin: Boolean = false): Seq[InTuple] = {
-    val a = Arrivals(workload, selfJoin)
-    Vector.tabulate(a.length)(i => InTuple(i.toLong, a.isR(i), a.streamSeq(i), a.oppHead(i), a.key(i)))
+    val c = new Arrivals.Cursor(workload, selfJoin)
+    Vector.tabulate(workload.length) { i => c.next(i); InTuple(i, c.isR, c.seq, c.oppHead, workload.keys(i)) }
   }
 
   /** Drive the join through Structured Streaming: a MemoryStream fed in

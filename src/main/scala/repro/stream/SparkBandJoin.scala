@@ -51,9 +51,9 @@ object SparkBandJoin {
     */
   def toDataFrames(spark: SparkSession, workload: Workload): (DataFrame, DataFrame) = {
     import spark.implicits._
-    val a      = Arrivals(workload)
-    val (r, s) = (0 until a.length).partition(a.isR)
-    def rows(is: Seq[Int]) = is.map(i => (a.streamSeq(i), a.key(i), i, a.oppHead(i)))
-    (rows(r).toDF("rid", "rx", "rgseq", "rh"), rows(s).toDF("sid", "sx", "sgseq", "sh"))
+    val c      = new Arrivals.Cursor(workload, selfJoin = false)
+    val rows   = (0 until workload.length).map { i => c.next(i); (c.isR, (c.seq, workload.keys(i), i, c.oppHead)) }
+    val (r, s) = rows.partition(_._1)
+    (r.map(_._2).toDF("rid", "rx", "rgseq", "rh"), s.map(_._2).toDF("sid", "sx", "sgseq", "sh"))
   }
 }

@@ -10,7 +10,7 @@ class RoundRobinJoinSpec extends AnyFunSuite {
     StreamGen.twoWay(StreamGen.uniform(n / 2, keySpace, seed),
                      StreamGen.uniform(n - n / 2, keySpace, seed + 50))
 
-  for (cores <- Seq(1, 2, 4, 8); w <- Seq(32, 256)) {
+  for (cores <- Seq(1, 2, 4, 8); w <- Seq(1, 2, 3, 32, 256)) {
     test(s"RR-IBWJ result count equals reference (cores=$cores, w=$w)") {
       val wl   = workload(3000, 1 << 10, cores * 7 + w)
       val diff = 12
@@ -21,7 +21,7 @@ class RoundRobinJoinSpec extends AnyFunSuite {
     }
   }
 
-  for (cores <- Seq(1, 3, 8); w <- Seq(32, 256)) {
+  for (cores <- Seq(1, 3, 8); w <- Seq(1, 2, 3, 32, 256)) {
     test(s"RR-NLWJ result count equals reference (cores=$cores, w=$w)") {
       val wl   = workload(2000, 1 << 10, cores * 13 + w)
       val diff = 12
@@ -59,6 +59,9 @@ class RoundRobinJoinSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 4, -1, 2))
     assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 0, 4, 2, 2))
     assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 0, 2, 2))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 4, 4, 2, 0))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.nlwj(wl, 4, 4, 2, 2, blockSize = 0))
+    assertThrows[IllegalArgumentException](RoundRobinJoin.ibwj(wl, 4, 4, 2, 2, blockSize = 0))
   }
 
   test("block size does not change results") {

@@ -5,6 +5,8 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{StreamGen, TestRefs}
+import repro.StreamGen.Workload
+import repro.bench.{StepNanos, StepTimedIndex}
 import repro.index._
 
 class SingleThreadedJoinSpec extends AnyFunSuite {
@@ -35,7 +37,7 @@ class SingleThreadedJoinSpec extends AnyFunSuite {
     assert(stats.tuples == wl.length)
   }
 
-  for ((name, mk) <- indexFactories; w <- Seq(32, 128, 512)) {
+  for ((name, mk) <- indexFactories; w <- Seq(1, 2, 3, 32, 128, 512)) {
     test(s"IBWJ($name) equals reference pairs (two-way, w=$w)") {
       val wl   = workload(2000, 1 << 12, w)
       val diff = 30
@@ -140,18 +142,62 @@ class SingleThreadedJoinSpec extends AnyFunSuite {
     }
   }
 
-  test("timed runs produce the same results and populate step timers") {
+  test("step-timed indexes give the undecorated results and fill their step counters") {
     val w    = 256
     val wl   = workload(5000, 1 << 12, 9)
     val diff = 20
-    val plain = new CountingSink
-    SingleThreadedJoin.ibwj(wl, w, w, diff, PIMTree.imTree(w / 4), PIMTree.imTree(w / 4), plain)
-    val timed  = new CountingSink
-    val timers = new StepTimers
-    SingleThreadedJoin.ibwj(wl, w, w, diff, PIMTree.imTree(w / 4), PIMTree.imTree(w / 4),
-                            timed, timers = timers)
-    assert(plain.count == timed.count && plain.checksum == timed.checksum)
-    assert(timers.searchNanos > 0 && timers.insertNanos > 0 && timers.mergeNanos > 0)
+    for ((name, mk) <- Seq[(String, () => WindowIndex)](("B+-Tree", () => new BPlusWindowIndex(8)),
+                                                         ("PIM-Tree", () => new PIMTree(2, w / 4)))) {
+      val plain = new CountingSink
+      SingleThreadedJoin.ibwj(wl, w, w, diff, mk(), mk(), plain)
+      val timed = new CountingSink
+      val nanos = new StepNanos(timedFrom = 1000)
+      val stats = SingleThreadedJoin.ibwj(wl, w, w, diff, new StepTimedIndex(mk(), nanos),
+                                          new StepTimedIndex(mk(), nanos), timed, timedFrom = 1000)
+      assert(plain.count == timed.count && plain.checksum == timed.checksum, name)
+      assert(stats.tuples == 4000 && nanos.search > 0 && nanos.scan > 0 && nanos.insert > 0, name)
+      if (name == "B+-Tree") assert(nanos.delete > 0) else assert(nanos.merge > 0)
+    }
+  }
+
+  test("a timedFrom beyond the stream times no tuples") {
+    val wl = workload(100, 1 << 8, 13)
+    assert(SingleThreadedJoin.ibwj(wl, 8, 8, 2, new BPlusWindowIndex(8), new BPlusWindowIndex(8),
+                                   new CountingSink, timedFrom = 150).tuples == 0)
+    assert(SingleThreadedJoin.nlwj(wl, 8, 8, 2, new CountingSink, timedFrom = 150).tuples == 0)
+  }
+
+  test("used heap during a run does not grow with the stream, only the input does") {
+    val w = 1 << 12
+    /** Used heap sampled once from the sink near the last arrival, while
+      * the run's state is live, and the input's bytes.
+      */
+    def usedDuring(n: Int, run: (Workload, ResultSink) => Unit): (Long, Long) = {
+      val wl   = workload(n, 1 << 12, 19)
+      var used = 0L
+      run(wl, new ResultSink {
+        def emit(rSeq: Int, sSeq: Int): Unit =
+          if (used == 0 && math.max(rSeq, sSeq) >= n / 2 - 64) {
+            val rt = Runtime.getRuntime
+            used = (0 until 3).map { _ => System.gc(); rt.totalMemory - rt.freeMemory }.min
+          }
+      })
+      assert(used > 0, "the sink never saw the end of the stream")
+      (used, wl.keys.length * 4L + wl.fromR.length)
+    }
+    val runners = Seq[(String, (Workload, ResultSink) => Unit)](
+      ("IBWJ", (wl, sink) => SingleThreadedJoin.ibwj(wl, w, w, 2, new PIMTree(2, w / 4), new PIMTree(2, w / 4), sink)),
+      ("NLWJ", (wl, sink) => SingleThreadedJoin.nlwj(wl, w, w, 2, sink)),
+    )
+    for ((name, run) <- runners) {
+      usedDuring(10 * w, run) // warm up: class loading and JIT state are not the join's
+      val (small, smallInput) = usedDuring(10 * w, run)
+      val (large, largeInput) = usedDuring(100 * w, run)
+      val growth = large - small
+      val bound  = largeInput - smallInput + (2L << 20)
+      info(s"$name used heap: ${small >> 10} KiB at n = 10·w, ${large >> 10} KiB at n = 100·w")
+      assert(growth < bound, s"$name: heap grew by $growth B from n = 10·w to 100·w; the input alone by ${largeInput - smallInput} B")
+    }
   }
 
   test("match rate scales with diff as predicted") {
