@@ -142,7 +142,7 @@ class SingleThreadedJoinSpec extends AnyFunSuite {
     }
   }
 
-  test("step-timed indexes give the undecorated results and fill their step counters") {
+  test("timed runs produce the same results and populate step timers") {
     val w    = 256
     val wl   = workload(5000, 1 << 12, 9)
     val diff = 20
