@@ -3,7 +3,8 @@ package repro.stream
 import java.util.concurrent.ConcurrentHashMap
 
 import org.apache.spark.TaskContext
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.StreamGen.Workload
@@ -27,8 +28,10 @@ import repro.join.{ResultSink, WindowJoin}
   *
   * A batch is routed once, on the driver, into one primitive slice per
   * partition, and the slices are joined by a single shuffle-free Spark
-  * stage: the batch passes through the driver, which already holds it in
-  * both drivers below.
+  * stage: the batch and its pairs pass through the driver, which already
+  * holds the batch in both drivers below. A local batch is read from its
+  * rows and its pairs are returned as they are, so it runs no Catalyst
+  * query.
   *
   * Batches can be driven either directly ([[processBatch]]) or through
   * Structured Streaming micro-batches ([[runStreaming]] via MemoryStream
@@ -63,7 +66,7 @@ object MicroBatchPimJoin {
     require(mergeRatio > 0, s"mergeRatio must be > 0, got $mergeRatio")
     private[stream] val band = Band(diff)
 
-    val partWidth: Int = math.max(1, (keySpace + numPartitions - 1) / numPartitions)
+    val partWidth: Int = math.max(1, ((keySpace.toLong + numPartitions - 1) / numPartitions).toInt)
 
     /** The home partition of key `x`: the one that indexes it. Keys below 0
       * or at or above `keySpace` belong to the first or last partition.
@@ -156,22 +159,44 @@ object MicroBatchPimJoin {
     parts.map(_.toArray)
   }
 
-  /** One micro-batch, joined before this returns: collect it, route each
-    * tuple once into its partitions' slices, and run every non-empty slice
-    * through its partition's joiner in one shuffle-free Spark stage. The
-    * returned Dataset holds the result pairs locally, so every action on it
-    * sees the same pairs and no action re-runs the join.
+  /** The schema of a `Dataset[InTuple]` built from local tuples. */
+  private lazy val inSchema = Encoders.product[InTuple].schema
+
+  /** A batch's tuples in gseq order. A local batch (a `LocalRelation` with
+    * [[InTuple]]'s schema, as `toDS()` builds) is decoded from its rows by
+    * ordinal, without running a query; any other plan is collected.
+    */
+  private def sortedTuples(batch: Dataset[InTuple]): Array[InTuple] = {
+    val tuples = batch.queryExecution.analyzed match {
+      case rel: LocalRelation if rel.schema == inSchema =>
+        rel.data.iterator.map(r => InTuple(r.getLong(0), r.getBoolean(1), r.getInt(2), r.getInt(3), r.getInt(4))).toArray
+      case _ => batch.collect()
+    }
+    tuples.sortBy(_.gseq)
+  }
+
+  /** One batch's result pairs, held on the driver as the packed `Long`s the
+    * partition tasks returned.
+    */
+  final class BatchPairs private[stream] (packed: Array[Array[Long]]) {
+    def collect(): Array[OutPair] = packed.flatMap(_.map(unpackPair))
+  }
+
+  /** One micro-batch, joined before this returns: read its tuples (from
+    * the rows of a local batch, else by a collect), route each tuple once
+    * into its partitions' slices, and run every non-empty slice through its
+    * partition's joiner in one shuffle-free Spark stage. The pairs stay on
+    * the driver, so every `collect()` sees the same pairs and none re-runs
+    * the join.
     */
   def processBatch(spark: SparkSession, jobId: String, batch: Dataset[InTuple],
-                   cfg: Config): Dataset[OutPair] = {
-    import spark.implicits._
-    val sliced = slices(batch.collect().sortBy(_.gseq), cfg)
+                   cfg: Config): BatchPairs = {
+    val sliced = slices(sortedTuples(batch), cfg)
     val sc     = spark.sparkContext
-    val packed = sc.runJob(sc.parallelize(sliced.toSeq, cfg.numPartitions),
-                           (ctx: TaskContext, it: Iterator[Array[Int]]) =>
-                             Registry.joinerFor(jobId, ctx.partitionId(), cfg).processSlice(it.next()),
-                           sliced.indices.filter(sliced(_).nonEmpty))
-    spark.createDataset(packed.flatMap(_.map(unpackPair)).toSeq)
+    new BatchPairs(sc.runJob(sc.parallelize(sliced.toSeq, cfg.numPartitions),
+                             (ctx: TaskContext, it: Iterator[Array[Int]]) =>
+                               Registry.joinerFor(jobId, ctx.partitionId(), cfg).processSlice(it.next()),
+                             sliced.indices.filter(sliced(_).nonEmpty)))
   }
 
   /** Convert a generated workload into arrival tuples. */

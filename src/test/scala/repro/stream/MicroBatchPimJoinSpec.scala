@@ -1,5 +1,12 @@
 package repro.stream
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobEnd, SparkListenerJobStart}
+import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
+
 import repro.{Oracle, SparkSpec, StreamGen, TestRefs}
 import repro.stream.MicroBatchPimJoin.{Config, InTuple}
 
@@ -131,16 +138,69 @@ class MicroBatchPimJoinSpec extends SparkSpec {
     val wl   = workload(1000, 1 << 10, 14)
     val diff = 12
     val cfg  = Config(4, w, w, diff, 1 << 10)
-    val got =
-      try MicroBatchPimJoin.toTuples(wl).grouped(250).flatMap { chunk =>
-        val ds     = MicroBatchPimJoin.processBatch(spark, "t-once", chunk.toDS(), cfg)
-        val first  = ds.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
-        val second = ds.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
-        assert(first == second)
-        first
-      }.toVector.sorted
-      finally MicroBatchPimJoin.Registry.clear("t-once")
-    assert(got == TestRefs.referencePairs(wl, w, w, diff).sorted)
+    val ref  = TestRefs.referencePairs(wl, w, w, diff).sorted
+    val rnd  = new scala.util.Random(14)
+    // local rows, a projection and an RDD (both collected), and local rows
+    // out of gseq order
+    val shapes: Seq[(String, Seq[InTuple] => Dataset[InTuple])] = Seq(
+      "local"     -> (_.toDS()),
+      "projected" -> (_.toDS().toDF().select($"x", $"gseq", $"isR", $"sseq", $"oppHead").as[InTuple]),
+      "rdd"       -> (chunk => spark.createDataset(spark.sparkContext.parallelize(chunk, 3))),
+      "shuffled"  -> (chunk => rnd.shuffle(chunk).toDS()),
+    )
+    for ((shape, toBatch) <- shapes) {
+      val jobId = s"t-once-$shape"
+      val got =
+        try MicroBatchPimJoin.toTuples(wl).grouped(250).flatMap { chunk =>
+          val pairs  = MicroBatchPimJoin.processBatch(spark, jobId, toBatch(chunk), cfg)
+          val first  = pairs.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
+          val second = pairs.collect().map(p => (p.rSeq, p.sSeq)).sorted.toVector
+          assert(first == second, shape)
+          first
+        }.toVector.sorted
+        finally MicroBatchPimJoin.Registry.clear(jobId)
+      assert(got == ref, shape)
+    }
+  }
+
+  test("a local batch runs one Spark job and no SQL execution") {
+    import spark.implicits._
+    val sc       = spark.sparkContext
+    val tag      = "t-no-sql"
+    val sentinel = "t-no-sql-sentinel"
+    val jobs, sqlExecutions = new AtomicInteger
+    val sentinelJob  = new AtomicInteger(-1)
+    val sentinelDone = new CountDownLatch(1)
+    def tags(props: java.util.Properties) =
+      Option(props).flatMap(p => Option(p.getProperty("spark.job.tags"))).toSeq.flatMap(_.split(","))
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        if (tags(e.properties).contains(tag)) jobs.incrementAndGet()
+        if (tags(e.properties).contains(sentinel)) sentinelJob.set(e.jobId)
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == sentinelJob.get) sentinelDone.countDown()
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case s: SparkListenerSQLExecutionStart if s.jobTags.contains(tag) => sqlExecutions.incrementAndGet()
+        case _ =>
+      }
+    }
+    val cfg   = Config(2, 64, 64, 12, 1 << 10)
+    val batch = MicroBatchPimJoin.toTuples(workload(500, 1 << 10, 17)).toDS()
+    sc.addSparkListener(listener)
+    try {
+      sc.addJobTag(tag)
+      val pairs = try MicroBatchPimJoin.processBatch(spark, tag, batch, cfg).collect()
+                  finally { sc.removeJobTag(tag); MicroBatchPimJoin.Registry.clear(tag) }
+      assert(pairs.nonEmpty)
+      // the listener bus is FIFO: once the sentinel job's end is delivered,
+      // so is every event of the batch
+      sc.addJobTag(sentinel)
+      try sc.parallelize(Seq(1), 1).count() finally sc.removeJobTag(sentinel)
+      assert(sentinelDone.await(30, TimeUnit.SECONDS))
+    } finally sc.removeSparkListener(listener)
+    assert(sqlExecutions.get == 0)
+    assert(jobs.get == 1)
   }
 
   for (selfJoin <- Seq(false, true)) {
@@ -175,6 +235,12 @@ class MicroBatchPimJoinSpec extends SparkSpec {
     bad.foreach(mk => assertThrows[IllegalArgumentException](mk()))
     val e = intercept[IllegalArgumentException](Config(2, 16, 16, -3, 1 << 8))
     assert(e.getMessage.contains("diff"))
+  }
+
+  test("Config's partition width does not overflow near Int.MaxValue") {
+    val cfg = Config(4, 16, 16, 1, Int.MaxValue)
+    assert(cfg.partWidth == 536870912)
+    assert(Seq(0, Int.MaxValue / 2, Int.MaxValue - 1).map(cfg.partOf) == Seq(0, 1, 3))
   }
 
   test("a failing run leaves no joiner registered") {
