@@ -40,7 +40,7 @@ object RunExperiment {
     if (on("T16")) P.efficiency(fast)
     if (on("T17")) P.mergeCost(fast)
     if (on("T18")) {
-      val spark = SparkSession.builder
+      val spark = SparkSession.builder()
         .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
         .appName("repro-T18")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -13,7 +13,7 @@ object Arrivals {
     * point whose stream counts it knows, it yields each one's stream, its
     * `seq`, and `oppHead`, the newest seq of the stream it probes (t_l, -1
     * if none). A self-join has one stream: every arrival is an R tuple and
-    * probes R.
+    * probes R, whose window a self-joining runner keeps as its S side too.
     */
   class Cursor(workload: Workload, selfJoin: Boolean) {
     /** R and S tuples before the next arrival. */
@@ -23,9 +23,6 @@ object Arrivals {
     var isR: Boolean = false
     var seq: Int     = 0
     var oppHead: Int = -1
-
-    /** Whether the arrival last passed to `next` probes stream R. */
-    @inline def probesR: Boolean = selfJoin || !isR
 
     /** Continue from where `c` stands. */
     @inline def moveTo(c: Cursor): Unit = { r = c.r; s = c.s }

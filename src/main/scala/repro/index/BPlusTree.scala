@@ -27,21 +27,10 @@ final class BPlusTree(val fanout: Int = 16) {
   private val leafCap  = fanout
   private val innerCap = fanout // max children per inner node
 
-  private[index] final class Leaf {
-    val keys = new Array[Int](leafCap)
-    val refs = new Array[Int](leafCap)
-    var size = 0
-    var next: Leaf = _
-  }
+  import BPlusTree.{Inner, Leaf}
 
-  private[index] final class Inner {
-    val keys     = new Array[Int](innerCap - 1) // separators
-    val children = new Array[AnyRef](innerCap)
-    var size     = 0 // number of children
-  }
-
-  private var root: AnyRef  = new Leaf
-  private var firstLeaf     = root.asInstanceOf[Leaf]
+  private var root: AnyRef  = new Leaf(leafCap)
+  private val firstLeaf     = root.asInstanceOf[Leaf]
   private var count         = 0
   private var treeHeight    = 1 // number of levels including leaf level
 
@@ -57,7 +46,7 @@ final class BPlusTree(val fanout: Int = 16) {
   def insert(key: Int, ref: Int): Unit = {
     val split = insertInto(root, key, ref)
     if (split != null) {
-      val newRoot = new Inner
+      val newRoot = new Inner(innerCap)
       newRoot.children(0) = root
       newRoot.children(1) = split._2
       newRoot.keys(0) = split._1
@@ -84,7 +73,7 @@ final class BPlusTree(val fanout: Int = 16) {
         null
       } else {
         // split: left keeps first half, right takes the rest
-        val right = new Leaf
+        val right = new Leaf(leafCap)
         val mid   = leafCap / 2
         System.arraycopy(leaf.keys, mid, right.keys, 0, leafCap - mid)
         System.arraycopy(leaf.refs, mid, right.refs, 0, leafCap - mid)
@@ -126,7 +115,7 @@ final class BPlusTree(val fanout: Int = 16) {
 
           val mid     = innerCap / 2 // children in left node
           val promote = tmpKeys(mid - 1)
-          val right   = new Inner
+          val right   = new Inner(innerCap)
           right.size = innerCap + 1 - mid
           System.arraycopy(tmpKids, mid, right.children, 0, right.size)
           System.arraycopy(tmpKeys, mid, right.keys, 0, right.size - 1)
@@ -243,5 +232,20 @@ final class BPlusTree(val fanout: Int = 16) {
     walk(root)
     // leaf: keys + refs arrays + next ref + header; inner: keys + child refs
     leaves * (leafCap.toLong * 8 + 32) + inners * (innerCap.toLong * 12 + 32)
+  }
+}
+
+object BPlusTree {
+  private final class Leaf(cap: Int) {
+    val keys = new Array[Int](cap)
+    val refs = new Array[Int](cap)
+    var size = 0
+    var next: Leaf = _
+  }
+
+  private final class Inner(cap: Int) {
+    val keys     = new Array[Int](cap - 1) // separators
+    val children = new Array[AnyRef](cap)
+    var size     = 0 // number of children
   }
 }

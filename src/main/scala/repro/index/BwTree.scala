@@ -42,10 +42,8 @@ final class BwTree(
   // --- node chain -----------------------------------------------------
   private sealed trait Node { def depth: Int }
   private final class Base(val elems: Array[Long]) extends Node { def depth = 0 }
-  private final class InsertDelta(val elem: Long, val next: Node) extends Node {
-    val depth: Int = next.depth + 1
-  }
-  private final class DeleteDelta(val elem: Long, val next: Node) extends Node {
+  /** An insert (`insert`) or a delete of `elem`, prepended to `next`. */
+  private final class Delta(val elem: Long, val insert: Boolean, val next: Node) extends Node {
     val depth: Int = next.depth + 1
   }
 
@@ -64,12 +62,15 @@ final class BwTree(
 
   override def name: String = "Bw-Tree"
 
-  override def insert(key: Int, ref: Int): Unit = {
-    val elem = Elem.pack(key, ref)
-    val slot = leafOf(key)
+  override def insert(key: Int, ref: Int): Unit = prepend(Elem.pack(key, ref), insert = true)
+
+  override def expire(key: Int, ref: Int): Unit = prepend(Elem.pack(key, ref), insert = false)
+
+  private def prepend(elem: Long, insert: Boolean): Unit = {
+    val slot = leafOf(Elem.key(elem))
     while (true) {
       val head = mapping.get(slot)
-      val d    = new InsertDelta(elem, head)
+      val d    = new Delta(elem, insert, head)
       if (mapping.compareAndSet(slot, head, d)) {
         if (d.depth >= consolidateAt) consolidate(slot)
         return
@@ -77,47 +78,36 @@ final class BwTree(
     }
   }
 
-  override def expire(key: Int, ref: Int): Unit = {
-    val elem = Elem.pack(key, ref)
-    val slot = leafOf(key)
-    while (true) {
-      val head = mapping.get(slot)
-      val d    = new DeleteDelta(elem, head)
-      if (mapping.compareAndSet(slot, head, d)) {
-        if (d.depth >= consolidateAt) consolidate(slot)
-        return
-      }
-    }
-  }
-
-  /** Fold a delta chain into a fresh base node. Losing a CAS race is
-    * fine — someone else made progress; we simply drop our work.
+  /** Fold a delta chain into a fresh base node: the base and the inserts,
+    * less one matching element per delete. Losing a CAS race is fine —
+    * someone else made progress; we simply drop our work.
     */
   private def consolidate(slot: Int): Unit = {
     val head = mapping.get(slot)
     if (head.depth == 0) return
-    // collect deltas newest-first
-    var inserts = List.empty[Long]
-    var deletes = List.empty[Long]
-    var n: Node = head
-    while (n.depth > 0) {
-      n match {
-        case i: InsertDelta => inserts ::= i.elem; n = i.next
-        case d: DeleteDelta => deletes ::= d.elem; n = d.next
-      }
+    val ins  = new LongVec(head.depth)
+    val del  = new LongVec(head.depth)
+    var n    = head
+    var base: Array[Long] = null
+    while (base == null) n match {
+      case d: Delta => (if (d.insert) ins else del).add(d.elem); n = d.next
+      case b: Base  => base = b.elems
     }
-    val base = n.asInstanceOf[Base].elems
-    // apply: base + inserts - deletes (delete removes one matching elem)
-    val buf = new java.util.ArrayList[java.lang.Long](base.length + inserts.size)
-    var i   = 0
-    while (i < base.length) { buf.add(base(i)); i += 1 }
-    inserts.foreach(e => buf.add(e))
-    deletes.foreach(e => buf.remove(java.lang.Long.valueOf(e)))
-    val arr = new Array[Long](buf.size)
-    i = 0
-    while (i < arr.length) { arr(i) = buf.get(i); i += 1 }
-    java.util.Arrays.sort(arr)
-    mapping.compareAndSet(slot, head, new Base(arr))
+    val all  = base ++ ins.toArray
+    val dels = del.toArray
+    java.util.Arrays.sort(all)
+    java.util.Arrays.sort(dels)
+    // both sorted: a delete cancels the first equal element it meets
+    var kept = 0
+    var i    = 0
+    var j    = 0
+    while (i < all.length) {
+      while (j < dels.length && dels(j) < all(i)) j += 1
+      if (j < dels.length && dels(j) == all(i)) j += 1
+      else { all(kept) = all(i); kept += 1 }
+      i += 1
+    }
+    mapping.compareAndSet(slot, head, new Base(java.util.Arrays.copyOf(all, kept)))
     ()
   }
 
@@ -127,20 +117,16 @@ final class BwTree(
     val deleted = new LongVec(8)
     while (slot <= last) {
       deleted.clear()
-      var added = 0 // guard: deltas may hold dupes of base during races — chain is immutable so no
-      var n     = mapping.get(slot)
-      while (n.depth > 0) {
-        n match {
-          case d: InsertDelta =>
-            val k = Elem.key(d.elem)
-            if (k >= lo && k <= hi && !containsElem(deleted, d.elem)) { out.add(d.elem); added += 1 }
-            n = d.next
-          case d: DeleteDelta =>
-            deleted.add(d.elem)
-            n = d.next
-        }
+      var n    = mapping.get(slot)
+      var base: Array[Long] = null
+      while (base == null) n match {
+        case d: Delta =>
+          val k = Elem.key(d.elem)
+          if (!d.insert) deleted.add(d.elem)
+          else if (k >= lo && k <= hi && !containsElem(deleted, d.elem)) out.add(d.elem)
+          n = d.next
+        case b: Base => base = b.elems
       }
-      val base = n.asInstanceOf[Base].elems
       // binary search for lower bound, then scan
       var idx = java.util.Arrays.binarySearch(base, Elem.pack(lo, 0))
       if (idx < 0) idx = -idx - 1
@@ -160,39 +146,23 @@ final class BwTree(
 
   override def maintain(validFrom: Int): Unit = ()
 
-  override def size: Int = {
-    var total = 0
-    var slot  = 0
+  /** Sums `delta` over every delta node and `base` over every base node. */
+  private def sumChains(delta: Delta => Long, base: Base => Long): Long = {
+    var sum  = 0L
+    var slot = 0
     while (slot < numLeaves) {
-      var n: Node = mapping.get(slot)
-      var delta   = 0
-      while (n.depth > 0) {
-        n match {
-          case i: InsertDelta => delta += 1; n = i.next
-          case d: DeleteDelta => delta -= 1; n = d.next
-        }
+      var n    = mapping.get(slot)
+      var more = true
+      while (more) n match {
+        case d: Delta => sum += delta(d); n = d.next
+        case b: Base  => sum += base(b); more = false
       }
-      total += delta + n.asInstanceOf[Base].elems.length
       slot += 1
     }
-    total
+    sum
   }
 
-  override def memoryBytes: Long = {
-    var bytes = numLeaves.toLong * 8
-    var slot  = 0
-    while (slot < numLeaves) {
-      var n: Node = mapping.get(slot)
-      while (n.depth > 0) {
-        bytes += 32
-        n = n match {
-          case i: InsertDelta => i.next
-          case d: DeleteDelta => d.next
-        }
-      }
-      bytes += n.asInstanceOf[Base].elems.length.toLong * 8
-      slot += 1
-    }
-    bytes
-  }
+  override def size: Int = sumChains(d => if (d.insert) 1 else -1, _.elems.length).toInt
+
+  override def memoryBytes: Long = numLeaves.toLong * 8 + sumChains(_ => 32, _.elems.length.toLong * 8)
 }

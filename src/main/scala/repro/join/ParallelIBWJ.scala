@@ -27,16 +27,17 @@ import repro.index.{PIMTree, WindowIndex}
   *    applies the pending inserts.
   *
   * State is bounded by the windows and the tasks in flight, not by the
-  * stream (Section 4.1's circular buffers): each stream's keys and
-  * indexed flags live in a ring addressed by `seq & mask`, and each task
-  * in flight has one slot of a task ring holding its completion stamp and
-  * its results. A task is handed out only when its slot and the ring
-  * slots its seqs take are free; otherwise the workers propagate, advance
-  * edges and expire until they are.
+  * stream (Section 4.1's circular buffers): each stream's side (a
+  * self-join has one) keeps its keys and indexed flags in rings addressed
+  * by `seq & mask`, and each task in flight has one slot of a task ring
+  * holding its completion stamp and its results. A task is handed out
+  * only when its slot and the ring slots its seqs take are free;
+  * otherwise the workers propagate, advance edges and expire until they
+  * are.
   *
   * Works over any thread-safe [[WindowIndex]]; merge coordination applies
-  * when the indexes are [[PIMTree]]s, incremental expiry is used
-  * otherwise (the Bw-Tree baseline).
+  * when both indexes are [[PIMTree]]s, incremental expiry is used when
+  * neither is (the Bw-Tree baseline).
   */
 final class ParallelIBWJ(
     workload: Workload,
@@ -64,8 +65,7 @@ final class ParallelIBWJ(
   private val numTasks = n / taskSize + (if (n % taskSize == 0) 0 else 1)
   @volatile private var steadyStart: Long = 0
 
-  private val band         = Band(diff)
-  private val mergeCapable = indexR.isInstanceOf[PIMTree]
+  private val band = Band(diff)
 
   // ---- task ring ------------------------------------------------------
   // Task t covers arrivals [t * taskSize, (t + 1) * taskSize) and uses
@@ -81,14 +81,16 @@ final class ParallelIBWJ(
   private val results    = Array.fill(taskSlots)(new IntVec(64))
   private val resultEnds = new Array[Int](taskSlots * taskSize)
 
-  // ---- stream windows -------------------------------------------------
-  /** One stream's sliding window: its index, and its keys and indexed
-    * flags in rings of `keys.capacity` slots, enough for the window plus a
-    * task per worker; beyond that, tasks wait for ring slots to free up.
+  // ---- stream sides ---------------------------------------------------
+  /** One stream's side: its index and, in rings of `keys.capacity` slots
+    * (enough for the window plus a task per worker; beyond that, tasks
+    * wait for ring slots to free up), its keys and indexed flags. It
+    * follows a cursor's `r` count if `isR`, else its `s` count.
     */
-  private final class Window(val w: Int, val idx: WindowIndex) {
-    /** Key of seq q, written when q is handed out. */
-    val keys = new KeyRing(w.toLong + numThreads.toLong * taskSize)
+  private final class Window(size: Int, index: WindowIndex, isR: Boolean)
+      extends Side(size, index, size.toLong + numThreads.toLong * taskSize) {
+    /** The index if it is a PIM-Tree, which merges; else null. */
+    val pim: PIMTree = idx match { case p: PIMTree => p; case _ => null }
     /** Seq last indexed in each slot: q is indexed iff slot q & mask reads q. */
     val indexed = new AtomicIntegerArray(Array.fill(keys.capacity)(-1))
     /** Earliest seq not yet indexed (the edge tuple). */
@@ -99,11 +101,70 @@ final class ParallelIBWJ(
     /** Seqs deleted from a non-merging index. */
     @volatile var expired = 0
     val expLock = new ReentrantLock
+    /** The generation a merge built, until it is installed. */
+    private var built: pim.State = _
+
+    /** This stream's arrivals before where `c` stands. */
+    @inline def count(c: Arrivals.Cursor): Int = if (isR) c.r else c.s
+
+    def insert(key: Int, seq: Int): Unit = {
+      idx.insert(key, seq)
+      indexed.lazySet(seq & keys.mask, seq)
+    }
+
+    /** Whether a task's worth of new seqs finds its ring slots free: the
+      * seqs they held must be older than every seq an in-flight probe, the
+      * edge advance or expiry can still read.
+      */
+    def fits: Boolean =
+      count(assigned) + taskSize - keys.capacity <= math.min(edge.get, if (mergeCapable) propagated - w else expired)
+
+    /** Edge-tuple advance with the paper's test-and-set fast path. */
+    def advanceEdge(): Unit =
+      if (edgeLock.tryLock()) {
+        try {
+          var e = edge.get
+          while (indexed.get(e & keys.mask) == e) e += 1
+          edge.set(e)
+        } finally edgeLock.unlock()
+      }
+
+    /** Delete tuples proven dead by the propagation barrier — non-merging
+      * shared indexes only. A tuple with stream seq e may only be deleted
+      * once every probe whose window can contain it has finished: those
+      * are exactly the arrivals before the own-stream arrival with seq
+      * e + w, so e is dead once that arrival has been propagated
+      * (propagation is in arrival order). Deleting eagerly instead loses
+      * results for in-flight older probes — a real race caught in tests.
+      */
+    def expire(): Unit =
+      if (expLock.tryLock()) {
+        try {
+          val dead = propagated - w
+          var e    = expired
+          while (e < dead) { idx.expire(keys(e), e); e += 1 }
+          expired = e
+        } finally expLock.unlock()
+      }
+
+    /** Earliest live ref given the tuples handed out (head = assigned - 1,
+      * live = [head - w + 1, head]).
+      */
+    def validFrom: Int = math.max(0, count(assigned) - w)
+
+    def buildMerge(from: Int): Unit = built = pim.buildMergedState(from)
+    def installMerge(): Unit = { pim.installState(built); built = null }
   }
 
-  private val winR = new Window(wR, indexR)
-  private val winS = if (selfJoin) winR else new Window(wS, indexS)
-  @inline private def win(isR: Boolean): Window = if (isR) winR else winS
+  private val winR = new Window(wR, indexR, isR = true)
+  private val winS = if (selfJoin) winR else new Window(wS, indexS, isR = false)
+  /** The distinct sides: a self-join has one. */
+  private val sides        = if (selfJoin) Array(winR) else Array(winR, winS)
+  private val mergeCapable = winR.pim != null
+  require(sides.forall(x => (x.pim != null) == mergeCapable), "indexR and indexS must both be PIM-Trees or both not")
+
+  /** A step's own side is `side(isR)`, the side it probes `side(!isR)`. */
+  @inline private def side(isR: Boolean): Window = if (isR) winR else winS
 
   // ---- shared mutable state -------------------------------------------
   private val queueLock = new ReentrantLock
@@ -192,8 +253,7 @@ final class ParallelIBWJ(
     queueLock.lock()
     try {
       val t = nextAvail / taskSize
-      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots ||
-          !fits(winR, assigned.r) || (!selfJoin && !fits(winS, assigned.s))) -1
+      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots || !sidesFit) -1
       else {
         val start = nextAvail
         val end   = math.min(n, start + taskSize)
@@ -204,8 +264,7 @@ final class ParallelIBWJ(
         var i = start
         while (i < end) {
           assigned.next(i)
-          val x = win(assigned.isR)
-          x.keys(assigned.seq) = workload.keys(i)
+          side(assigned.isR).keys(assigned.seq) = workload.keys(i)
           i += 1
         }
         // counted inside the lock so the merger's quiescence wait is exact
@@ -215,13 +274,10 @@ final class ParallelIBWJ(
     } finally queueLock.unlock()
   }
 
-  /** Whether a task's worth of new seqs of `x`, from `next` on, finds its
-    * ring slots free: the seqs they held must be older than every seq an
-    * in-flight probe, the edge advance or expiry can still read.
-    */
-  private def fits(x: Window, next: Int): Boolean = {
-    val oldestRead = math.min(x.edge.get, if (mergeCapable) x.propagated - x.w else x.expired)
-    next + taskSize - x.keys.capacity <= oldestRead
+  private def sidesFit: Boolean = {
+    var i = 0
+    while (i < sides.length && sides(i).fits) i += 1
+    i == sides.length
   }
 
   /** Result generation + index update (steps 2–3) for task t's arrivals;
@@ -240,7 +296,7 @@ final class ParallelIBWJ(
     while (i < end) {
       cur.next(i)
       val k   = workload.keys(i)
-      val opp = win(cur.probesR)
+      val opp = side(!cur.isR)
       val tl  = cur.oppHead
       if (tl >= 0) {
         val te   = Arrivals.windowStart(tl, opp.w)
@@ -267,11 +323,7 @@ final class ParallelIBWJ(
       }
       resultEnds(slot * taskSize + i - start) = res.size
       // ---- index update; in merge phase 1 the merger inserts it later ----
-      if (update) {
-        val own = win(cur.isR)
-        own.idx.insert(k, cur.seq)
-        own.indexed.lazySet(cur.seq & own.keys.mask, cur.seq)
-      }
+      if (update) side(cur.isR).insert(k, cur.seq)
       // latency = task processing time (the paper's Fig 10d metric):
       // acquisition -> completion, not propagation (ordering backlog would
       // swamp the task-size signal)
@@ -285,47 +337,14 @@ final class ParallelIBWJ(
     completed.lazySet(slot, t)
   }
 
-  /** Delete tuples proven dead by the propagation barrier — non-merging
-    * shared indexes only. A tuple with stream seq e may only be deleted
-    * once every probe whose window can contain it has finished: those are
-    * exactly the arrivals before the own-stream arrival with seq e + w, so
-    * e is dead once that arrival has been propagated (propagation is in
-    * arrival order). Deleting eagerly instead loses results for in-flight
-    * older probes — a real race caught in tests.
-    */
   private def tryExpire(): Unit = {
-    expire(winR)
-    if (!selfJoin) expire(winS)
+    var i = 0
+    while (i < sides.length) { sides(i).expire(); i += 1 }
   }
 
-  private def expire(x: Window): Unit = {
-    if (x.expLock.tryLock()) {
-      try {
-        val dead = x.propagated - x.w
-        var e    = x.expired
-        while (e < dead) {
-          x.idx.expire(x.keys(e), e)
-          e += 1
-        }
-        x.expired = e
-      } finally x.expLock.unlock()
-    }
-  }
-
-  /** Edge-tuple advance with the paper's test-and-set fast path. */
   private def tryAdvanceEdges(): Unit = {
-    advanceEdge(winR)
-    if (!selfJoin) advanceEdge(winS)
-  }
-
-  private def advanceEdge(x: Window): Unit = {
-    if (x.edgeLock.tryLock()) {
-      try {
-        var e = x.edge.get
-        while (x.indexed.get(e & x.keys.mask) == e) e += 1
-        x.edge.set(e)
-      } finally x.edgeLock.unlock()
-    }
+    var i = 0
+    while (i < sides.length) { sides(i).advanceEdge(); i += 1 }
   }
 
   /** In-order result propagation (step 4), a completed task at a time;
@@ -353,8 +372,8 @@ final class ParallelIBWJ(
             i += 1
           }
           resultCount.addAndGet(res.size.toLong)
-          winR.propagated = propagated.r
-          if (!selfJoin) winS.propagated = propagated.s
+          i = 0
+          while (i < sides.length) { sides(i).propagated = sides(i).count(propagated); i += 1 }
           t += 1
           propTask = t
         }
@@ -364,15 +383,11 @@ final class ParallelIBWJ(
 
   // ------------------------------------------------------------- merges
 
-  private def needsAnyMerge: Boolean =
-    indexR.asInstanceOf[PIMTree].needsMerge ||
-      (!selfJoin && indexS.asInstanceOf[PIMTree].needsMerge)
-
-  /** Earliest live ref of a stream given how many of its tuples have been
-    * handed out (head = assigned - 1, live = [head - w + 1, head]).
-    */
-  private def validFrom(x: Window): Int =
-    math.max(0, (if (x eq winR) assigned.r else assigned.s) - x.w)
+  private def needsAnyMerge: Boolean = {
+    var i = 0
+    while (i < sides.length && !sides(i).pim.needsMerge) i += 1
+    i < sides.length
+  }
 
   /** Block task assignment and wait until running tasks drain. */
   private def quiesce(): Unit = {
@@ -385,49 +400,37 @@ final class ParallelIBWJ(
 
   private def resume(): Unit = assignmentBlocked = false
 
+  /** One merge: quiesce, pick the sides whose PIM-Trees need a merge,
+    * build their next generations, install them, resume, then index the
+    * arrivals handed out while they were built. A nonblocking merge
+    * (Section 4.2) resumes assignment for the build, with index updates
+    * suspended, and quiesces again to install; a blocking one stalls
+    * throughout, so no arrival is handed out meanwhile.
+    */
   private def runMerge(): Unit = {
-    val pimR = indexR.asInstanceOf[PIMTree]
-    val pimS = if (selfJoin) pimR else indexS.asInstanceOf[PIMTree]
+    quiesce()
+    val merging     = sides.filter(_.pim.needsMerge)
+    val from        = merging.map(_.validFrom)
+    val pending     = new Arrivals.Cursor(workload, selfJoin)
+    val pendingFrom = nextAvail
+    pending.moveTo(assigned)
     if (nonblockingMerge) {
-      // phase 1: build next generation(s) while others join without
-      // index updates
-      quiesce()
-      val mergeR = pimR.needsMerge
-      val mergeS = !selfJoin && pimS.needsMerge
-      val vfR = validFrom(winR)
-      val vfS = validFrom(winS)
-      // the arrivals handed out from here to phase 2 are not indexed
-      val pending     = new Arrivals.Cursor(workload, selfJoin)
-      val pendingFrom = nextAvail
-      pending.moveTo(assigned)
       indexUpdatesSuspended = true
       resume()
-      val newR = if (mergeR) pimR.buildMergedState(vfR) else null
-      val newS = if (mergeS) pimS.buildMergedState(vfS) else null
-      // phase 2: swap under quiescence, then apply pending updates while
-      // normal processing restarts
-      quiesce()
-      val pendingTo = nextAvail
-      if (newR != null) pimR.installState(newR)
-      if (newS != null) pimS.installState(newS)
-      indexUpdatesSuspended = false
-      resume()
-      var i = pendingFrom
-      while (i < pendingTo) {
-        pending.next(i)
-        val x = win(pending.isR)
-        x.idx.insert(workload.keys(i), pending.seq)
-        x.indexed.lazySet(pending.seq & x.keys.mask, pending.seq)
-        i += 1
-      }
-      tryAdvanceEdges()
-    } else {
-      // blocking merge: everything stalls for the duration
-      quiesce()
-      if (pimR.needsMerge) pimR.merge(validFrom(winR))
-      if (!selfJoin && pimS.needsMerge) pimS.merge(validFrom(winS))
-      resume()
     }
+    merging.indices.foreach(k => merging(k).buildMerge(from(k)))
+    if (nonblockingMerge) quiesce()
+    val pendingTo = nextAvail
+    merging.foreach(_.installMerge())
+    indexUpdatesSuspended = false
+    resume()
+    var i = pendingFrom
+    while (i < pendingTo) {
+      pending.next(i)
+      side(pending.isR).insert(workload.keys(i), pending.seq)
+      i += 1
+    }
+    tryAdvanceEdges()
   }
 }
 

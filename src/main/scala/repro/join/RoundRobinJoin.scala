@@ -59,8 +59,8 @@ object RoundRobinJoin {
         val tl  = c.oppHead
         var res = 0L
         if (tl >= 0 && i >= timedFrom) {
-          val oppKeys = c.keys(c.probesR)
-          val te      = Arrivals.windowStart(tl, if (c.probesR) wR else wS)
+          val oppKeys = c.keys(!c.isR)
+          val te      = Arrivals.windowStart(tl, if (c.isR) wS else wR)
           // start at the first owned seq >= te
           var j = te + ((core - te % cores + cores) % cores)
           while (j <= tl) {

@@ -1,7 +1,7 @@
 package repro.join
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, KeyRing}
+import repro.core.{Arrivals, Band}
 import repro.index.WindowIndex
 
 /** Single-threaded window band join runners: nested-loop (NLWJ) and
@@ -11,7 +11,7 @@ import repro.index.WindowIndex
   * window content of stream X right after its n-th tuple arrived is the
   * seq range [n - w, n - 1]. Both runners read the arrivals through an
   * [[Arrivals.Cursor]] and keep only the windows (NLWJ's keys in a
-  * [[KeyRing]] per stream), so their state does not grow with the stream.
+  * [[Side]] per stream), so their state does not grow with the stream.
   */
 object SingleThreadedJoin {
 
@@ -24,19 +24,20 @@ object SingleThreadedJoin {
            selfJoin: Boolean = false, timedFrom: Int = 0): JoinStats = {
     require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
     val band  = Band(diff)
-    val keysR = new KeyRing(wR)
-    val keysS = if (selfJoin) keysR else new KeyRing(wS)
+    val sideR = new Side(wR, null, wR)
+    val sideS = if (selfJoin) sideR else new Side(wS, null, wS)
     val c     = new Arrivals.Cursor(workload, selfJoin)
     drive(workload.length, timedFrom) { i =>
       c.next(i)
       val k   = workload.keys(i)
+      val own = if (c.isR) sideR else sideS
       var res = 0L
       if (i >= timedFrom) {
-        val oppKeys = if (c.probesR) keysR else keysS
-        val tl      = c.oppHead
-        var j       = Arrivals.windowStart(tl, if (c.probesR) wR else wS)
+        val opp = if (c.isR) sideS else sideR
+        val tl  = c.oppHead
+        var j   = Arrivals.windowStart(tl, opp.w)
         while (j <= tl) {
-          if (band.matches(oppKeys(j), k)) {
+          if (band.matches(opp.keys(j), k)) {
             res += 1
             if (c.isR) sink.emit(c.seq, j) else sink.emit(j, c.seq)
           }
@@ -44,7 +45,7 @@ object SingleThreadedJoin {
         }
       }
       // after the scan: in a self-join this slot held the window's oldest key
-      (if (c.isR) keysR else keysS)(c.seq) = k
+      own.keys(c.seq) = k
       res
     }
   }

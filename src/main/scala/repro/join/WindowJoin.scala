@@ -3,6 +3,14 @@ package repro.join
 import repro.core.{Arrivals, Band, Elem, KeyRing, LongVec}
 import repro.index.WindowIndex
 
+/** One stream's side of a window join: its window size, its index (none
+  * for NLWJ) and the keys of its newest `slots` tuples. A self-join joins
+  * a stream with its own window (Section 2.1), so its S side is its R side.
+  */
+private[join] class Side(val w: Int, val idx: WindowIndex, slots: Long) {
+  val keys = new KeyRing(slots)
+}
+
 /** The IBWJ step of Section 2.2 for one arrival, on one thread: probe the
   * opposite index over the band and keep the refs in [t_e, t_l], expire
   * the own tuple that leaves the window, insert, then run maintenance
@@ -13,9 +21,11 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
                        selfJoin: Boolean) {
   require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
   private val band  = Band(diff)
-  private val keysR = new KeyRing(wR)
-  private val keysS = if (selfJoin) keysR else new KeyRing(wS)
+  private val sideR = new Side(wR, indexR, wR)
+  private val sideS = if (selfJoin) sideR else new Side(wS, indexS, wS)
   private val out   = new LongVec(64)
+
+  @inline private def side(isR: Boolean): Side = if (isR) sideR else sideS
 
   /** Join tuple `seq` of stream R (`isR`) or S with key `key`, arriving
     * when the newest tuple of the stream it probes is `oppHead`: emit each
@@ -25,10 +35,10 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
     * ignore `expire`, as its ring lacks the other tuples' keys.
     */
   def offer(isR: Boolean, seq: Int, oppHead: Int, key: Int, home: Boolean, sink: ResultSink): Int = {
-    val oppR = selfJoin || !isR
-    val te   = Arrivals.windowStart(oppHead, if (oppR) wR else wS)
+    val opp = side(!isR)
+    val te  = Arrivals.windowStart(oppHead, opp.w)
     out.clear()
-    (if (oppR) indexR else indexS).rangeSearch(band.lo(key), band.hi(key), out)
+    opp.idx.rangeSearch(band.lo(key), band.hi(key), out)
     var res = 0
     var j   = 0
     while (j < out.size) {
@@ -40,15 +50,12 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
       j += 1
     }
     if (home) {
-      val ownR = selfJoin || isR
-      val own  = if (ownR) indexR else indexS
-      val keys = if (ownR) keysR else keysS
-      val w    = if (ownR) wR else wS
+      val own = side(isR)
       // the expired tuple's slot is the one this arrival's key takes
-      if (seq >= w) own.expire(keys(seq - w), seq - w)
-      keys(seq) = key
-      own.insert(key, seq)
-      own.maintain(Arrivals.windowStart(seq, w))
+      if (seq >= own.w) own.idx.expire(own.keys(seq - own.w), seq - own.w)
+      own.keys(seq) = key
+      own.idx.insert(key, seq)
+      own.idx.maintain(Arrivals.windowStart(seq, own.w))
     }
     res
   }

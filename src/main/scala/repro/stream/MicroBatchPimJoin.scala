@@ -213,25 +213,17 @@ object MicroBatchPimJoin {
                    cfg: Config, batchSize: Int): Seq[OutPair] = {
     import spark.implicits._
     implicit val sq: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val stream    = MemoryStream[InTuple]
-    val collected = new java.util.concurrent.ConcurrentLinkedQueue[OutPair]
-    val query = stream
-      .toDS()
-      .writeStream
-      .outputMode("append")
-      .foreachBatch { (df: Dataset[InTuple], _: Long) =>
-        processBatch(spark, jobId, df, cfg).collect().foreach(collected.add)
-        ()
-      }
-      .start()
-    try {
-      tuples.grouped(batchSize).foreach { chunk =>
+    // foreachBatch joins on the query's thread; stop() joins that thread
+    // before the pairs are read
+    drive(spark, jobId, cfg) { join =>
+      val stream = MemoryStream[InTuple]
+      val query  = stream.toDS().writeStream.outputMode("append")
+        .foreachBatch((df: Dataset[InTuple], _: Long) => join(df)).start()
+      try tuples.grouped(batchSize).foreach { chunk =>
         stream.addData(chunk)
         query.processAllAvailable()
-      }
-    } finally try query.stop() finally Registry.clear(jobId)
-    import scala.jdk.CollectionConverters._
-    collected.asScala.toSeq
+      } finally query.stop()
+    }
   }
 
   /** Drive the join as a plain sequence of micro-batch Datasets (the
@@ -240,10 +232,18 @@ object MicroBatchPimJoin {
   def runBatches(spark: SparkSession, jobId: String, tuples: Seq[InTuple],
                  cfg: Config, batchSize: Int): Seq[OutPair] = {
     import spark.implicits._
+    drive(spark, jobId, cfg)(join => tuples.grouped(batchSize).foreach(chunk => join(chunk.toDS())))
+  }
+
+  /** The one driver loop: `batches` hands each batch, in order, to the
+    * function it is given, which joins it with [[processBatch]] and keeps
+    * its pairs. The job's joiners are dropped however it ends.
+    */
+  private def drive(spark: SparkSession, jobId: String, cfg: Config)
+                   (batches: (Dataset[InTuple] => Unit) => Unit): Seq[OutPair] = {
     val res = Vector.newBuilder[OutPair]
-    try tuples.grouped(batchSize).foreach { chunk =>
-      res ++= processBatch(spark, jobId, chunk.toDS(), cfg).collect()
-    } finally Registry.clear(jobId)
+    try batches(batch => res ++= processBatch(spark, jobId, batch, cfg).collect())
+    finally Registry.clear(jobId)
     res.result()
   }
 }

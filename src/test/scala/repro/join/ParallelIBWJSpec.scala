@@ -55,6 +55,8 @@ class ParallelIBWJSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 0, 4, 2, pim(4), pim(4), 2, 1))
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, 2, pim(4), pim(4), 0, 1))
     assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, 2, pim(4), pim(4), 2, 0))
+    // merge coordination needs both indexes to be PIM-Trees, expiry neither
+    assertThrows[IllegalArgumentException](new ParallelIBWJ(wl, 4, 4, 2, pim(4), new BwTree(256, 8), 2, 1))
   }
 
   test("result propagation preserves arrival order") {

@@ -130,6 +130,12 @@ class MicroBatchPimJoinSpec extends SparkSpec {
       .map(p => (p.rSeq, p.sSeq)).sorted.toVector
     val ref = TestRefs.referencePairs(wl, w, w, diff, selfJoin = true).sorted
     assert(got == ref)
+    // a self-join has one window, wR's: a different wS changes nothing
+    val oneWindow = MicroBatchPimJoin
+      .runBatches(spark, "t-self-ws", MicroBatchPimJoin.toTuples(wl, selfJoin = true),
+                  Config(4, w, 16, diff, 1 << 10, selfJoin = true), 400)
+      .map(p => (p.rSeq, p.sSeq)).sorted.toVector
+    assert(oneWindow == TestRefs.referencePairs(wl, w, 16, diff, selfJoin = true).sorted)
   }
 
   test("processBatch joins each batch once: repeated collects agree") {
