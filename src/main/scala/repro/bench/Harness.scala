@@ -146,8 +146,8 @@ object Harness {
 
   def bplus(): WindowIndex = new BPlusWindowIndex(16)
   def imTree(w: Int, m: Double): WindowIndex = PIMTree.imTree(math.max(1, (m * w).toInt))
-  def pimTree(w: Int, m: Double, dI: Int = 2, useLocks: Boolean = true): PIMTree =
-    new PIMTree(dI, math.max(1, (m * w).toInt), useLocks = useLocks)
+  def pimTree(w: Int, m: Double, dI: Int = 2): PIMTree =
+    new PIMTree(dI, math.max(1, (m * w).toInt))
 
   /** PIM-Tree tuned for the multithreaded runs: finer immutable-tree
     * geometry and a deeper insertion level give ~4x more subindexes at

@@ -9,11 +9,11 @@ object Arrivals {
   /** Oldest seq of a window of `w` tuples whose newest seq is `head`. */
   @inline def windowStart(head: Int, w: Int): Int = math.max(0, head - w + 1)
 
-  /** The arrivals one at a time, in O(1) space: fed them in order from any
-    * point whose stream counts it knows, it yields each one's stream, its
-    * `seq`, and `oppHead`, the newest seq of the stream it probes (t_l, -1
-    * if none). A self-join has one stream: every arrival is an R tuple and
-    * probes R, whose window a self-joining runner keeps as its S side too.
+  /** The arrivals one at a time, in O(1) space: fed them in order, it
+    * yields each one's stream, its `seq`, and `oppHead`, the newest seq of
+    * the stream it probes (t_l, -1 if none). A self-join has one stream:
+    * every arrival is an R tuple and probes R, whose window a self-joining
+    * runner keeps as its S side too.
     */
   class Cursor(workload: Workload, selfJoin: Boolean) {
     /** R and S tuples before the next arrival. */
@@ -23,9 +23,6 @@ object Arrivals {
     var isR: Boolean = false
     var seq: Int     = 0
     var oppHead: Int = -1
-
-    /** Continue from where `c` stands. */
-    @inline def moveTo(c: Cursor): Unit = { r = c.r; s = c.s }
 
     /** Step over arrival i, which must follow the arrivals already counted. */
     @inline def next(i: Int): Unit =

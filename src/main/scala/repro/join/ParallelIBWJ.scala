@@ -4,7 +4,7 @@ import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerA
 import java.util.concurrent.locks.ReentrantLock
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, Elem, IntVec, KeyRing, LongVec}
+import repro.core.{Arrivals, Band, IntVec, KeyRing, LongVec}
 import repro.index.{PIMTree, WindowIndex}
 
 /** Parallel index-based window join over *shared* indexes — the Section 4
@@ -14,7 +14,8 @@ import repro.index.{PIMTree, WindowIndex}
   *
   * Invariants reproduced from the paper:
   *  - every arrival carries the opposite-window boundaries (t_l, t_e)
-  *    fixed by its arrival position (count-based windows);
+  *    fixed by its arrival position (count-based windows), stamped once
+  *    when its task is handed out;
   *  - an *edge tuple* per stream marks the earliest non-indexed tuple:
   *    index probes keep hits strictly before the edge snapshot, and a
   *    linear window scan covers [edge, t_l] — no duplicates, no misses
@@ -76,16 +77,25 @@ final class ParallelIBWJ(
   /** Number of the last task completed in each slot (the status word). */
   private val completed = new AtomicIntegerArray(Array.fill(taskSlots)(-1))
   /** Each slot's results: the opposite refs of its arrivals in arrival
-    * order, with arrival k's ending at `resultEnds(slot * taskSize + k)`.
+    * order, with arrival k's ending at `resultEnds(slot * stride + k)`.
     */
   private val results    = Array.fill(taskSlots)(new IntVec(64))
-  private val resultEnds = new Array[Int](taskSlots * taskSize)
+  // slots in the arrays below are a cache line or more apart, so a worker
+  // reading its own slot does not miss on writes to neighbouring slots
+  private val stride     = (taskSize + 63) & ~63
+  private val resultEnds = new Array[Int](taskSlots * stride)
+  /** Stream, seq and t_l of the k-th arrival of a slot's task, at index
+    * `slot * stride + k`, stamped once when the task is handed out.
+    */
+  private val arrivalR   = new Array[Boolean](taskSlots * stride)
+  private val arrivalSeq = new Array[Int](taskSlots * stride)
+  private val arrivalTl  = new Array[Int](taskSlots * stride)
 
   // ---- stream sides ---------------------------------------------------
   /** One stream's side: its index and, in rings of `keys.capacity` slots
     * (enough for the window plus a task per worker; beyond that, tasks
-    * wait for ring slots to free up), its keys and indexed flags. It
-    * follows a cursor's `r` count if `isR`, else its `s` count.
+    * wait for ring slots to free up), its keys and indexed flags. Its
+    * stream is R if `isR`, else S.
     */
   private final class Window(size: Int, index: WindowIndex, isR: Boolean)
       extends Side(size, index, size.toLong + numThreads.toLong * taskSize) {
@@ -104,8 +114,8 @@ final class ParallelIBWJ(
     /** The generation a merge built, until it is installed. */
     private var built: pim.State = _
 
-    /** This stream's arrivals before where `c` stands. */
-    @inline def count(c: Arrivals.Cursor): Int = if (isR) c.r else c.s
+    /** This stream's arrivals handed out so far (written under queueLock). */
+    @inline def count: Int = if (isR) assigned.r else assigned.s
 
     def insert(key: Int, seq: Int): Unit = {
       idx.insert(key, seq)
@@ -117,7 +127,7 @@ final class ParallelIBWJ(
       * edge advance or expiry can still read.
       */
     def fits: Boolean =
-      count(assigned) + taskSize - keys.capacity <= math.min(edge.get, if (mergeCapable) propagated - w else expired)
+      count + taskSize - keys.capacity <= math.min(edge.get, if (mergeCapable) propagated - w else expired)
 
     /** Edge-tuple advance with the paper's test-and-set fast path. */
     def advanceEdge(): Unit =
@@ -150,7 +160,20 @@ final class ParallelIBWJ(
     /** Earliest live ref given the tuples handed out (head = assigned - 1,
       * live = [head - w + 1, head]).
       */
-    def validFrom: Int = math.max(0, count(assigned) - w)
+    def validFrom: Int = math.max(0, count - w)
+
+    /** Index the seqs in [edge, head) that a nonblocking merge's phase 1
+      * handed out without indexing, reading their keys from the ring. A
+      * seq at or above the edge keeps its ring slots (see `fits`); a slot
+      * holding a newer seq was indexed, passed by the edge and reused.
+      */
+    def indexPending(head: Int): Unit = {
+      var q = edge.get
+      while (q < head) {
+        if (indexed.get(q & keys.mask) < q) insert(keys(q), q)
+        q += 1
+      }
+    }
 
     def buildMerge(from: Int): Unit = built = pim.buildMergedState(from)
     def installMerge(): Unit = { pim.installState(built); built = null }
@@ -183,8 +206,6 @@ final class ParallelIBWJ(
   private val propLock = new ReentrantLock
   /** Tasks propagated so far; written under propLock. */
   @volatile private var propTask = 0
-  /** Stream counts of the propagated arrivals; guarded by propLock. */
-  private val propagated = new Arrivals.Cursor(workload, selfJoin)
 
   // latency accounting (Fig. 10d): acquisition -> completion, nanos
   val latencySumNanos = new AtomicLong(0)
@@ -220,52 +241,56 @@ final class ParallelIBWJ(
   // ------------------------------------------------------------ workers
 
   private def workerLoop(sink: ResultSink): Unit = {
-    val out  = new LongVec(64)
-    val cur  = new Arrivals.Cursor(workload, selfJoin)
+    val hits = new LongVec(64)
     var idle = 0
     while (propTask < numTasks && failure.get == null) {
-      if (mergeCapable && !mergeOwner.get && needsAnyMerge && mergeOwner.compareAndSet(false, true)) {
+      if (mergeCapable && !mergeOwner.get && sides.exists(_.pim.needsMerge) && mergeOwner.compareAndSet(false, true)) {
         try runMerge()
         finally mergeOwner.set(false)
       }
-      val task = acquireTask(cur)
+      val task = acquireTask()
       if (task >= 0) {
-        processTask(task, cur, out)
+        processTask(task, hits)
         activeTasks.decrementAndGet()
         idle = 0
       } else {
         pause(idle)
         idle += 1
       }
-      tryAdvanceEdges()
+      sides.foreach(_.advanceEdge())
       tryPropagate(sink)
-      if (!mergeCapable) tryExpire()
+      if (!mergeCapable) sides.foreach(_.expire())
     }
-    if (!mergeCapable) tryExpire()
+    if (!mergeCapable) sides.foreach(_.expire())
   }
 
-  /** Hands out the next task and sets `cur` to the stream counts before
-    * it; returns the task's number, or -1 when assignment is blocked,
-    * the stream is exhausted, or the task's ring slots are not free yet.
+  /** Hands out the next task, stamping its arrivals and writing their
+    * keys to the rings; returns the task's number, or -1 when assignment
+    * is blocked, the stream is exhausted, or the task's ring slots are
+    * not free yet.
     */
-  private def acquireTask(cur: Arrivals.Cursor): Int = {
+  private def acquireTask(): Int = {
     if (assignmentBlocked) return -1
     queueLock.lock()
     try {
       val t = nextAvail / taskSize
-      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots || !sidesFit) -1
+      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots || !sides.forall(_.fits)) -1
       else {
         val start = nextAvail
         val end   = math.min(n, start + taskSize)
         nextAvail = end
         if (steadyStart == 0 && start <= timedFrom && timedFrom < end)
           steadyStart = System.nanoTime()
-        cur.moveTo(assigned)
         var i = start
+        var a = (t & taskMask) * stride
         while (i < end) {
           assigned.next(i)
+          arrivalR(a) = assigned.isR
+          arrivalSeq(a) = assigned.seq
+          arrivalTl(a) = assigned.oppHead
           side(assigned.isR).keys(assigned.seq) = workload.keys(i)
           i += 1
+          a += 1
         }
         // counted inside the lock so the merger's quiescence wait is exact
         activeTasks.incrementAndGet()
@@ -274,16 +299,8 @@ final class ParallelIBWJ(
     } finally queueLock.unlock()
   }
 
-  private def sidesFit: Boolean = {
-    var i = 0
-    while (i < sides.length && sides(i).fits) i += 1
-    i == sides.length
-  }
-
-  /** Result generation + index update (steps 2–3) for task t's arrivals;
-    * `cur` stands at the task's first arrival.
-    */
-  private def processTask(t: Int, cur: Arrivals.Cursor, out: LongVec): Unit = {
+  /** Result generation + index update (steps 2–3) for task t's arrivals. */
+  private def processTask(t: Int, hits: LongVec): Unit = {
     val acquiredAt = if (trackLatency) System.nanoTime() else 0L
     val slot   = t & taskMask
     val res    = results(slot)
@@ -293,58 +310,27 @@ final class ParallelIBWJ(
     var latency = 0L
     res.clear()
     var i = start
+    var a = slot * stride
     while (i < end) {
-      cur.next(i)
       val k   = workload.keys(i)
-      val opp = side(!cur.isR)
-      val tl  = cur.oppHead
-      if (tl >= 0) {
-        val te   = Arrivals.windowStart(tl, opp.w)
-        val edge = opp.edge.get // snapshot before probing
-        out.clear()
-        opp.idx.rangeSearch(band.lo(k), band.hi(k), out)
-        var j = 0
-        while (j < out.size) {
-          val ref = Elem.ref(out(j))
-          // keep index hits strictly before the edge snapshot; the linear
-          // scan below owns [edge, t_l] — no duplicates either way
-          if (ref >= te && ref <= tl && ref < edge) res.add(ref)
-          j += 1
-        }
-        val scanFrom = math.max(te, edge)
-        var s = scanFrom
-        while (s <= tl) {
-          if (band.matches(opp.keys(s), k)) res.add(s)
-          s += 1
-        }
-        // non-indexed window region is read linearly (Fig. 11d: this grows
-        // with thread count and shifts the traffic split toward loads)
-        if (tl >= scanFrom) repro.core.Telemetry.load((tl - scanFrom + 1).toLong * 4)
-      }
-      resultEnds(slot * taskSize + i - start) = res.size
+      val opp = side(!arrivalR(a))
+      // the edge is read once, before probing: the probe splits at this snapshot
+      opp.probe(band, k, arrivalTl(a), opp.edge.get, hits, res)
+      resultEnds(a) = res.size
       // ---- index update; in merge phase 1 the merger inserts it later ----
-      if (update) side(cur.isR).insert(k, cur.seq)
+      if (update) side(arrivalR(a)).insert(k, arrivalSeq(a))
       // latency = task processing time (the paper's Fig 10d metric):
       // acquisition -> completion, not propagation (ordering backlog would
       // swamp the task-size signal)
       if (trackLatency) latency += System.nanoTime() - acquiredAt
       i += 1
+      a += 1
     }
     if (trackLatency) {
       latencySumNanos.addAndGet(latency)
       latencyCount.addAndGet(end - start)
     }
     completed.lazySet(slot, t)
-  }
-
-  private def tryExpire(): Unit = {
-    var i = 0
-    while (i < sides.length) { sides(i).expire(); i += 1 }
-  }
-
-  private def tryAdvanceEdges(): Unit = {
-    var i = 0
-    while (i < sides.length) { sides(i).advanceEdge(); i += 1 }
   }
 
   /** In-order result propagation (step 4), a completed task at a time;
@@ -357,23 +343,25 @@ final class ParallelIBWJ(
         while (t < numTasks && completed.get(t & taskMask) == t) {
           val slot  = t & taskMask
           val res   = results(slot)
-          val start = t * taskSize
-          val end   = math.min(n, start + taskSize)
+          val first = slot * stride
+          val last  = first + math.min(taskSize, n - t * taskSize) - 1
           var j = 0
-          var i = start
-          while (i < end) {
-            propagated.next(i)
-            val seq  = propagated.seq
-            val last = resultEnds(slot * taskSize + i - start)
-            while (j < last) {
-              if (propagated.isR) sink.emit(seq, res(j)) else sink.emit(res(j), seq)
+          var a = first
+          while (a <= last) {
+            val isR = arrivalR(a)
+            val seq = arrivalSeq(a)
+            while (j < resultEnds(a)) {
+              if (isR) sink.emit(seq, res(j)) else sink.emit(res(j), seq)
               j += 1
             }
-            i += 1
+            a += 1
           }
           resultCount.addAndGet(res.size.toLong)
-          i = 0
-          while (i < sides.length) { sides(i).propagated = sides(i).count(propagated); i += 1 }
+          // the stream counts after the task are those after its last
+          // arrival: t_l + 1 for the stream it probes, seq + 1 for its own
+          // (written last: in a self-join the two are one side)
+          side(!arrivalR(last)).propagated = arrivalTl(last) + 1
+          side(arrivalR(last)).propagated = arrivalSeq(last) + 1
           t += 1
           propTask = t
         }
@@ -382,12 +370,6 @@ final class ParallelIBWJ(
   }
 
   // ------------------------------------------------------------- merges
-
-  private def needsAnyMerge: Boolean = {
-    var i = 0
-    while (i < sides.length && !sides(i).pim.needsMerge) i += 1
-    i < sides.length
-  }
 
   /** Block task assignment and wait until running tasks drain. */
   private def quiesce(): Unit = {
@@ -405,32 +387,26 @@ final class ParallelIBWJ(
     * arrivals handed out while they were built. A nonblocking merge
     * (Section 4.2) resumes assignment for the build, with index updates
     * suspended, and quiesces again to install; a blocking one stalls
-    * throughout, so no arrival is handed out meanwhile.
+    * throughout, so no arrival is handed out meanwhile. Every arrival
+    * handed out before the first quiescence was indexed, so the ones left
+    * to index are each side's unindexed seqs below its head at the second.
     */
   private def runMerge(): Unit = {
     quiesce()
-    val merging     = sides.filter(_.pim.needsMerge)
-    val from        = merging.map(_.validFrom)
-    val pending     = new Arrivals.Cursor(workload, selfJoin)
-    val pendingFrom = nextAvail
-    pending.moveTo(assigned)
+    val merging = sides.filter(_.pim.needsMerge)
+    val from    = merging.map(_.validFrom)
     if (nonblockingMerge) {
       indexUpdatesSuspended = true
       resume()
     }
     merging.indices.foreach(k => merging(k).buildMerge(from(k)))
     if (nonblockingMerge) quiesce()
-    val pendingTo = nextAvail
     merging.foreach(_.installMerge())
     indexUpdatesSuspended = false
+    val heads = sides.map(_.count)
     resume()
-    var i = pendingFrom
-    while (i < pendingTo) {
-      pending.next(i)
-      side(pending.isR).insert(workload.keys(i), pending.seq)
-      i += 1
-    }
-    tryAdvanceEdges()
+    sides.indices.foreach(k => sides(k).indexPending(heads(k)))
+    sides.foreach(_.advanceEdge())
   }
 }
 

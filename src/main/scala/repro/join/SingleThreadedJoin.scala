@@ -1,7 +1,7 @@
 package repro.join
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band}
+import repro.core.{Arrivals, Band, IntVec}
 import repro.index.WindowIndex
 
 /** Single-threaded window band join runners: nested-loop (NLWJ) and
@@ -15,7 +15,8 @@ import repro.index.WindowIndex
   */
 object SingleThreadedJoin {
 
-  /** Nested-loop window join: probe = linear scan of the opposite window.
+  /** Nested-loop window join: probe = linear scan of the opposite window,
+    * a [[Side.probe]] whose edge is the window's oldest seq.
     *
     * @param timedFrom arrivals before this index only fill the windows
     *                  (no probe, no timing) — steady-state measurement
@@ -27,26 +28,25 @@ object SingleThreadedJoin {
     val sideR = new Side(wR, null, wR)
     val sideS = if (selfJoin) sideR else new Side(wS, null, wS)
     val c     = new Arrivals.Cursor(workload, selfJoin)
+    val refs  = new IntVec(64)
     drive(workload.length, timedFrom) { i =>
       c.next(i)
       val k   = workload.keys(i)
       val own = if (c.isR) sideR else sideS
-      var res = 0L
+      refs.clear()
       if (i >= timedFrom) {
         val opp = if (c.isR) sideS else sideR
-        val tl  = c.oppHead
-        var j   = Arrivals.windowStart(tl, opp.w)
-        while (j <= tl) {
-          if (band.matches(opp.keys(j), k)) {
-            res += 1
-            if (c.isR) sink.emit(c.seq, j) else sink.emit(j, c.seq)
-          }
+        // an edge at t_e leaves the whole window to the scan: NLWJ has no index
+        opp.probe(band, k, c.oppHead, Arrivals.windowStart(c.oppHead, opp.w), hits = null, refs)
+        var j = 0
+        while (j < refs.size) {
+          if (c.isR) sink.emit(c.seq, refs(j)) else sink.emit(refs(j), c.seq)
           j += 1
         }
       }
       // after the scan: in a self-join this slot held the window's oldest key
       own.keys(c.seq) = k
-      res
+      refs.size.toLong
     }
   }
 

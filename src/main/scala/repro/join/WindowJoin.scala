@@ -1,6 +1,6 @@
 package repro.join
 
-import repro.core.{Arrivals, Band, Elem, KeyRing, LongVec}
+import repro.core.{Arrivals, Band, Elem, IntVec, KeyRing, LongVec, Telemetry}
 import repro.index.WindowIndex
 
 /** One stream's side of a window join: its window size, its index (none
@@ -9,13 +9,43 @@ import repro.index.WindowIndex
   */
 private[join] class Side(val w: Int, val idx: WindowIndex, slots: Long) {
   val keys = new KeyRing(slots)
+
+  /** Section 4.1's probe of this side's window [t_e, tl] for `key`: the
+    * index (searched into the scratch `hits`) owns the seqs before `edge`,
+    * which must all be indexed, and a scan of the key ring owns [edge, tl],
+    * so each match is added to `refs` once. `edge = tl + 1` leaves the
+    * whole window to the index, `edge = t_e` to the scan.
+    */
+  def probe(band: Band, key: Int, tl: Int, edge: Int, hits: LongVec, refs: IntVec): Unit = {
+    val te   = Arrivals.windowStart(tl, w)
+    val last = math.min(tl, edge - 1)
+    if (last >= te) {
+      hits.clear()
+      idx.rangeSearch(band.lo(key), band.hi(key), hits)
+      var j = 0
+      while (j < hits.size) {
+        val ref = Elem.ref(hits(j))
+        if (ref >= te && ref <= last) refs.add(ref)
+        j += 1
+      }
+    }
+    val from = math.max(te, edge)
+    var s    = from
+    while (s <= tl) {
+      if (band.matches(keys(s), key)) refs.add(s)
+      s += 1
+    }
+    // the scanned region is read linearly (Fig. 11d: it grows with the
+    // parallel join's thread count and shifts the traffic toward loads)
+    if (tl >= from) Telemetry.load((tl - from + 1).toLong * 4)
+  }
 }
 
 /** The IBWJ step of Section 2.2 for one arrival, on one thread: probe the
-  * opposite index over the band and keep the refs in [t_e, t_l], expire
-  * the own tuple that leaves the window, insert, then run maintenance
-  * (merges, segment disposal). Besides the indexes, each stream keeps
-  * only the keys of its last `w` tuples, in a [[KeyRing]], for expiry.
+  * opposite side's whole window through its index, expire the own tuple
+  * that leaves the window, insert, then run maintenance (merges, segment
+  * disposal). Besides the indexes, each stream keeps only the keys of its
+  * last `w` tuples, in a [[KeyRing]], for expiry.
   */
 final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS: WindowIndex,
                        selfJoin: Boolean) {
@@ -23,7 +53,8 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
   private val band  = Band(diff)
   private val sideR = new Side(wR, indexR, wR)
   private val sideS = if (selfJoin) sideR else new Side(wS, indexS, wS)
-  private val out   = new LongVec(64)
+  private val hits  = new LongVec(64)
+  private val refs  = new IntVec(64)
 
   @inline private def side(isR: Boolean): Side = if (isR) sideR else sideS
 
@@ -35,18 +66,11 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
     * ignore `expire`, as its ring lacks the other tuples' keys.
     */
   def offer(isR: Boolean, seq: Int, oppHead: Int, key: Int, home: Boolean, sink: ResultSink): Int = {
-    val opp = side(!isR)
-    val te  = Arrivals.windowStart(oppHead, opp.w)
-    out.clear()
-    opp.idx.rangeSearch(band.lo(key), band.hi(key), out)
-    var res = 0
-    var j   = 0
-    while (j < out.size) {
-      val ref = Elem.ref(out(j))
-      if (ref >= te && ref <= oppHead) {
-        res += 1
-        if (isR) sink.emit(seq, ref) else sink.emit(ref, seq)
-      }
+    refs.clear()
+    side(!isR).probe(band, key, oppHead, oppHead + 1, hits, refs)
+    var j = 0
+    while (j < refs.size) {
+      if (isR) sink.emit(seq, refs(j)) else sink.emit(refs(j), seq)
       j += 1
     }
     if (home) {
@@ -57,6 +81,6 @@ final class WindowJoin(wR: Int, wS: Int, diff: Int, indexR: WindowIndex, indexS:
       own.idx.insert(key, seq)
       own.idx.maintain(Arrivals.windowStart(seq, own.w))
     }
-    res
+    refs.size
   }
 }

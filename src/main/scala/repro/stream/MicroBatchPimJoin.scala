@@ -57,7 +57,6 @@ object MicroBatchPimJoin {
       diff: Int,
       keySpace: Int,
       mergeRatio: Double = 1.0,
-      insertionDepth: Int = 2,
       selfJoin: Boolean = false,
   ) {
     require(numPartitions >= 1, s"numPartitions must be >= 1, got $numPartitions")
@@ -97,8 +96,10 @@ object MicroBatchPimJoin {
     * always fully indexed and no edge-tuple machinery is needed.
     */
   final class PartitionJoiner(cfg: Config) {
+    /** The PIM-Trees' insertion depth D_I. */
+    private final val InsertionDepth = 2
     private def mkIndex(w: Int) =
-      new PIMTree(cfg.insertionDepth,
+      new PIMTree(InsertionDepth,
                   math.max(1, (cfg.mergeRatio * w / cfg.numPartitions).toInt))
     private val indexR = mkIndex(cfg.wR)
     private val indexS = if (cfg.selfJoin) indexR else mkIndex(cfg.wS)
