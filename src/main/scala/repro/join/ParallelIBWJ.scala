@@ -80,14 +80,12 @@ final class ParallelIBWJ(
     * order, with arrival k's ending at `resultEnds(slot * stride + k)`.
     */
   private val results    = Array.fill(taskSlots)(new IntVec(64))
-  // slots in the arrays below are a cache line or more apart, so a worker
-  // reading its own slot does not miss on writes to neighbouring slots
+  // slots of the Int arrays below start a multiple of 64 entries (256 bytes)
+  // apart, so workers reading their own slots seldom share a cache line
   private val stride     = (taskSize + 63) & ~63
   private val resultEnds = new Array[Int](taskSlots * stride)
-  /** Stream, seq and t_l of the k-th arrival of a slot's task, at index
-    * `slot * stride + k`, stamped once when the task is handed out.
-    */
-  private val arrivalR   = new Array[Boolean](taskSlots * stride)
+  /** Seq (`~seq` for stream S) and t_l of arrival k of a slot's task, at
+    * `slot * stride + k`, stamped once when the task is handed out. */
   private val arrivalSeq = new Array[Int](taskSlots * stride)
   private val arrivalTl  = new Array[Int](taskSlots * stride)
 
@@ -285,8 +283,7 @@ final class ParallelIBWJ(
         var a = (t & taskMask) * stride
         while (i < end) {
           assigned.next(i)
-          arrivalR(a) = assigned.isR
-          arrivalSeq(a) = assigned.seq
+          arrivalSeq(a) = if (assigned.isR) assigned.seq else ~assigned.seq
           arrivalTl(a) = assigned.oppHead
           side(assigned.isR).keys(assigned.seq) = workload.keys(i)
           i += 1
@@ -313,12 +310,13 @@ final class ParallelIBWJ(
     var a = slot * stride
     while (i < end) {
       val k   = workload.keys(i)
-      val opp = side(!arrivalR(a))
+      val s   = arrivalSeq(a)
+      val opp = side(s < 0)
       // the edge is read once, before probing: the probe splits at this snapshot
       opp.probe(band, k, arrivalTl(a), opp.edge.get, hits, res)
       resultEnds(a) = res.size
       // ---- index update; in merge phase 1 the merger inserts it later ----
-      if (update) side(arrivalR(a)).insert(k, arrivalSeq(a))
+      if (update) side(s >= 0).insert(k, if (s >= 0) s else ~s)
       // latency = task processing time (the paper's Fig 10d metric):
       // acquisition -> completion, not propagation (ordering backlog would
       // swamp the task-size signal)
@@ -348,10 +346,9 @@ final class ParallelIBWJ(
           var j = 0
           var a = first
           while (a <= last) {
-            val isR = arrivalR(a)
-            val seq = arrivalSeq(a)
+            val s = arrivalSeq(a)
             while (j < resultEnds(a)) {
-              if (isR) sink.emit(seq, res(j)) else sink.emit(res(j), seq)
+              if (s >= 0) sink.emit(s, res(j)) else sink.emit(res(j), ~s)
               j += 1
             }
             a += 1
@@ -360,8 +357,9 @@ final class ParallelIBWJ(
           // the stream counts after the task are those after its last
           // arrival: t_l + 1 for the stream it probes, seq + 1 for its own
           // (written last: in a self-join the two are one side)
-          side(!arrivalR(last)).propagated = arrivalTl(last) + 1
-          side(arrivalR(last)).propagated = arrivalSeq(last) + 1
+          val s = arrivalSeq(last)
+          side(s < 0).propagated = arrivalTl(last) + 1
+          side(s >= 0).propagated = (if (s >= 0) s else ~s) + 1
           t += 1
           propTask = t
         }

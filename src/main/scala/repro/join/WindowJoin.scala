@@ -14,12 +14,13 @@ private[join] class Side(val w: Int, val idx: WindowIndex, slots: Long) {
     * index (searched into the scratch `hits`) owns the seqs before `edge`,
     * which must all be indexed, and a scan of the key ring owns [edge, tl],
     * so each match is added to `refs` once. `edge = tl + 1` leaves the
-    * whole window to the index, `edge = t_e` to the scan.
+    * whole window, even an empty one, to the index (one search per IBWJ
+    * step), `edge = t_e` to the scan; a side without an index only scans.
     */
   def probe(band: Band, key: Int, tl: Int, edge: Int, hits: LongVec, refs: IntVec): Unit = {
     val te   = Arrivals.windowStart(tl, w)
     val last = math.min(tl, edge - 1)
-    if (last >= te) {
+    if (idx != null && (edge > te || edge > tl)) {
       hits.clear()
       idx.rangeSearch(band.lo(key), band.hi(key), hits)
       var j = 0
