@@ -87,44 +87,41 @@ object ExperimentsParallel {
     val b2   = steadyTwoWay(w, n)
     val bS   = steadySelf(w, n)
 
-    // Every configuration is measured twice and the best run kept: the
-    // shared bench JVM (live Spark session, GC debt from earlier
-    // experiments) adds run-to-run noise that a single sample can't see
-    // past.
-    def best(run: => JoinStats): Double = {
-      val first  = run.throughput
-      val second = run.throughput // by-name: a fresh, independent run
-      math.max(first, second)
-    }
-
     // no-CC baseline: the same parallel runner with one thread and the
     // partition locks compiled out — isolates the concurrency-control
     // cost itself (a different runner would change JIT inlining and
     // muddy the comparison)
-    val noCc2 = best(runParallel(() => pimPar(w, useLocks = false), b2, w, 1)._1)
-    val noCcS = best(runParallel(() => pimPar(w, useLocks = false), bS, w, 1, selfJoin = true)._1)
-    val base = Vector(
-      "threads"  -> Text("1 (no CC)"),
-      "two-way"  -> Tps(noCc2),
-      "self"     -> Tps(noCcS),
-      "speedup2" -> Text("-"),
-      "speedupS" -> Text("-"),
-    )
-    var cc1Two  = 0.0
-    var cc1Self = 0.0
-    val parRows = Seq(1, 2, 4, 8, threadsMax).distinct.map { p =>
-      val two  = best(runParallel(() => pimPar(w), b2, w, p)._1)
-      val self = best(runParallel(() => pimPar(w), bS, w, p, selfJoin = true)._1)
-      if (p == 1) { cc1Two = two; cc1Self = self }
+    def twoWay(p: Int, cc: Boolean = true) =
+      () => runParallel(() => pimPar(w, useLocks = cc), b2, w, p)._1.throughput
+    def self(p: Int, cc: Boolean = true) =
+      () => runParallel(() => pimPar(w, useLocks = cc), bS, w, p, selfJoin = true)._1.throughput
+    val configs = (Text("1 (no CC)"), twoWay(1, cc = false), self(1, cc = false)) +:
+      Seq(1, 2, 4, 8, threadsMax).distinct.map(p => (Count(p), twoWay(p), self(p)))
+
+    // The cells are compared with each other, so they are measured alike:
+    // every configuration runs once untimed (JIT warm-up), then `Rounds`
+    // times, one run of each per round, and a cell is the median of its
+    // runs. Drift in the shared bench JVM and on a loaded host falls on
+    // every cell alike, and no single slow run decides a comparison. Each
+    // timed run starts after a full GC, so none pays for the garbage of
+    // the run before it: without that, 1-thread runs of one configuration
+    // read anywhere from 0.84M to 1.89M tuples/s within one table.
+    val Rounds = 7
+    val runners = configs.flatMap { case (_, two, self) => Seq(two, self) }
+    runners.foreach(_())
+    val runs  = Seq.fill(Rounds)(runners.map { run => System.gc(); run() })
+    val cells = runners.indices.map(c => runs.map(_(c)).sorted.apply(Rounds / 2))
+    val (cc1Two, cc1Self) = (cells(2), cells(3))
+    val rows = configs.indices.map { r =>
+      val (two, self) = (cells(2 * r), cells(2 * r + 1))
       Vector(
-        "threads"  -> Count(p),
+        "threads"  -> configs(r)._1,
         "two-way"  -> Tps(two),
         "self"     -> Tps(self),
-        "speedup2" -> Times(two / math.max(1, cc1Two)),
-        "speedupS" -> Times(self / math.max(1, cc1Self)),
+        "speedup2" -> (if (r == 0) Text("-") else Times(two / math.max(1, cc1Two))),
+        "speedupS" -> (if (r == 0) Text("-") else Times(self / math.max(1, cc1Self))),
       )
     }
-    val rows = base +: parRows
     printTable(s"T12 (Fig 12a): scalability & CC overhead, w=2^$logW", rows)
   }
 

@@ -1,9 +1,8 @@
 package repro.index
 
-import java.util.concurrent.atomic.AtomicInteger
-import java.util.concurrent.locks.ReentrantLock
+import java.util.concurrent.atomic.{AtomicLongArray, LongAdder}
 
-import repro.core.{Elem, LongVec}
+import repro.core.{Elem, LongVec, SpinLock}
 
 /** Partitioned In-memory Merge-Tree (Section 3.3) — the paper's primary
   * contribution. With `insertionDepth = 0` there is a single mutable
@@ -17,8 +16,11 @@ import repro.core.{Elem, LongVec}
   *    insertion level, each guarding a disjoint key range with one lock.
   *
   * Inserts route through `T_S` to the insertion level (Algorithm 1) and
-  * take exactly one lock. Range searches scan `T_S` lock-free, then walk
-  * the overlapping subindexes left to right with lock handover: the next
+  * take exactly one lock, a [[SpinLock]]: the sections are a few hundred
+  * nanoseconds, shorter than parking and waking a thread. Each insert
+  * counts itself in a `LongAdder`, so concurrent inserts into different
+  * subindexes share no counter. Range searches scan `T_S` lock-free, then
+  * walk the overlapping subindexes left to right with lock handover: the next
   * partition's lock is acquired before the current one is released
   * (Algorithm 2, lines 27–33).
   *
@@ -46,11 +48,12 @@ final class PIMTree(
   final class State(val ts: ImmutableBPlusTree) {
     val level: Int         = ts.effectiveInsertionLevel(insertionDepth)
     val numPartitions: Int = ts.nodesAtLevel(level)
-    val subs: Array[BPlusTree]      = Array.fill(numPartitions)(new BPlusTree(bFanout))
-    val locks: Array[ReentrantLock] = Array.fill(numPartitions)(new ReentrantLock)
+    val subs: Array[BPlusTree] = Array.fill(numPartitions)(new BPlusTree(bFanout))
+    val locks: Array[SpinLock] = Array.fill(numPartitions)(new SpinLock)
     /** inclusive max key of partition p's range; last is Int.MaxValue */
     val upper: Array[Int] = Array.tabulate(numPartitions)(p => ts.subtreeUpperBound(level, p))
-    val tiSize            = new AtomicInteger(0)
+    /** |T_I|: inserts into this generation */
+    val tiSize = new LongAdder
   }
 
   @volatile private var state: State = new State(ImmutableBPlusTree.empty(ibFanout, ibLeafSize))
@@ -58,16 +61,17 @@ final class PIMTree(
   /** current generation — exposed for tests and instrumentation */
   def currentState: State = state
 
-  /** Per-insert distribution across subindexes (Fig. 13a instrumentation);
-    * enabled by [[trackInsertDistribution]].
+  /** Inserts per subindex since tracking began (Fig. 13a instrumentation),
+    * one slot per partition of the current generation; enabled by
+    * [[trackInsertDistribution]]. [[installState]] resizes it to the new
+    * generation, keeping the counts of the partitions both share.
     */
-  @volatile private var insertCounts: java.util.concurrent.atomic.AtomicLongArray = _
+  @volatile private var insertCounts: AtomicLongArray = _
   def trackInsertDistribution(on: Boolean): Unit =
-    insertCounts = if (on) new java.util.concurrent.atomic.AtomicLongArray(4096) else null
+    synchronized { insertCounts = if (on) new AtomicLongArray(state.numPartitions) else null }
   def insertDistribution: Array[Long] = {
     val c = insertCounts
-    if (c == null) Array.emptyLongArray
-    else Array.tabulate(math.min(c.length, state.numPartitions))(c.get)
+    if (c == null) Array.emptyLongArray else Array.tabulate(c.length)(c.get)
   }
 
   var mergeCount: Long      = 0
@@ -78,15 +82,16 @@ final class PIMTree(
   override def insert(key: Int, ref: Int): Unit = {
     val s = state
     val p = s.ts.nodeIndexAtLevel(key, s.level)
+    // installState writes it before `state`, so it has a slot for s's p
     val c = insertCounts
-    if (c != null && p < c.length) c.incrementAndGet(p)
+    if (c != null) c.incrementAndGet(p)
     if (useLocks) {
       val l = s.locks(p)
       l.lock()
       try s.subs(p).insert(key, ref)
       finally l.unlock()
     } else s.subs(p).insert(key, ref)
-    s.tiSize.incrementAndGet()
+    s.tiSize.increment()
   }
 
   override def expire(key: Int, ref: Int): Unit = () // coarse disposal at merge
@@ -111,11 +116,11 @@ final class PIMTree(
   }
 
   /** Entries currently buffered in the mutable component. */
-  def tiSize: Int = state.tiSize.get
+  def tiSize: Int = state.tiSize.intValue
 
-  def needsMerge: Boolean = state.tiSize.get >= mergeThreshold
+  def needsMerge: Boolean = tiSize >= mergeThreshold
 
-  override def size: Int = { val s = state; s.ts.size + s.tiSize.get }
+  override def size: Int = { val s = state; s.ts.size + s.tiSize.intValue }
 
   override def maintain(validFrom: Int): Unit = if (needsMerge) merge(validFrom)
 
@@ -179,7 +184,16 @@ final class PIMTree(
   /** Phase 2 of the nonblocking merge: swap in the next generation.
     * Caller guarantees no in-flight operations on the old generation.
     */
-  def installState(st: State): Unit = state = st
+  def installState(st: State): Unit = synchronized {
+    val c = insertCounts
+    if (c != null && c.length != st.numPartitions) {
+      val resized = new AtomicLongArray(st.numPartitions)
+      var p = 0
+      while (p < math.min(c.length, st.numPartitions)) { resized.set(p, c.get(p)); p += 1 }
+      insertCounts = resized
+    }
+    state = st
+  }
 
   override def memoryBytes: Long = {
     val s     = state

@@ -1,10 +1,10 @@
 package repro.join
 
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicReference}
-import java.util.concurrent.locks.ReentrantLock
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicIntegerArray, AtomicLong, AtomicReference}
 
 import repro.StreamGen.Workload
-import repro.core.{Arrivals, Band, IntVec, KeyRing, LongVec}
+import repro.core.{Arrivals, Band, IntVec, KeyRing, LongVec, Padded, SpinLock}
+import repro.core.SpinLock.pause
 import repro.index.{PIMTree, WindowIndex}
 
 /** Parallel index-based window join over *shared* indexes — the Section 4
@@ -21,7 +21,8 @@ import repro.index.{PIMTree, WindowIndex}
   *    linear window scan covers [edge, t_l] — no duplicates, no misses
   *    regardless of out-of-order indexing;
   *  - edge advance and result propagation use try-lock fast paths so a
-  *    busy mutex never stalls a worker;
+  *    busy mutex never stalls a worker, and test their next status word
+  *    before touching the lock;
   *  - merges run under task-assignment quiescence; the nonblocking
   *    variant (Section 4.2) builds the next index generation while
   *    workers keep joining in no-index-update mode, then swaps and
@@ -35,6 +36,16 @@ import repro.index.{PIMTree, WindowIndex}
   * only when its slot and the ring slots its seqs take are free;
   * otherwise the workers propagate, advance edges and expire until they
   * are.
+  *
+  * Every lock is a [[SpinLock]] and every wait spins, then yields, by
+  * `SpinLock.pause`; nothing parks. No counter that all workers write is
+  * touched per arrival: the merge trigger counts each side's arrivals
+  * under the queue lock the acquirer already holds, quiescence reads the
+  * task ring's status words, and each worker counts the results it
+  * propagates. Each word that one thread writes while the others read it
+  * (a lock, the task cursor, the propagated task, a status word, a side's
+  * edge and counts) has a cache line of its own ([[Padded]]), away from
+  * the fields every worker reads on each step.
   *
   * Works over any thread-safe [[WindowIndex]]; merge coordination applies
   * when both indexes are [[PIMTree]]s, incremental expiry is used when
@@ -60,8 +71,6 @@ final class ParallelIBWJ(
   require(taskSize >= 1, s"taskSize must be >= 1, got $taskSize")
   require(wR >= 1 && wS >= 1, s"window sizes must be >= 1, got wR=$wR, wS=$wS")
 
-  import ParallelIBWJ._
-
   private val n        = workload.length
   private val numTasks = n / taskSize + (if (n % taskSize == 0) 0 else 1)
   @volatile private var steadyStart: Long = 0
@@ -74,8 +83,11 @@ final class ParallelIBWJ(
   // slow task before its result propagation holds them back.
   private val taskSlots = KeyRing.pow2AtLeast(4L * numThreads)
   private val taskMask  = taskSlots - 1
-  /** Number of the last task completed in each slot (the status word). */
-  private val completed = new AtomicIntegerArray(Array.fill(taskSlots)(-1))
+  /** Number of the last task completed in each slot (the status word), at
+    * `Padded.at(slot)`.
+    */
+  private val completed = Padded.ints(taskSlots)
+  (0 until taskSlots).foreach(slot => completed.set(Padded.at(slot), -1))
   /** Each slot's results: the opposite refs of its arrivals in arrival
     * order, with arrival k's ending at `resultEnds(slot * stride + k)`.
     */
@@ -101,39 +113,76 @@ final class ParallelIBWJ(
     val pim: PIMTree = idx match { case p: PIMTree => p; case _ => null }
     /** Seq last indexed in each slot: q is indexed iff slot q & mask reads q. */
     val indexed = new AtomicIntegerArray(Array.fill(keys.capacity)(-1))
-    /** Earliest seq not yet indexed (the edge tuple). */
-    val edge     = new AtomicInteger(0)
-    val edgeLock = new ReentrantLock
-    /** Seqs whose arrivals have been propagated. */
-    @volatile var propagated = 0
-    /** Seqs deleted from a non-merging index. */
-    @volatile var expired = 0
-    val expLock = new ReentrantLock
+    /** The edge, propagated and expired counts below. */
+    private val counts   = Padded.ints(3)
+    private val edgeLock = new SpinLock
+    private val expLock  = new SpinLock
+
+    /** Earliest seq not yet indexed (the edge tuple); written under edgeLock. */
+    @inline def edge: Int = counts.get(Padded.at(0))
+    private def edge_=(q: Int): Unit = counts.set(Padded.at(0), q)
+    /** Seqs whose arrivals have been propagated; written under propLock. */
+    @inline def propagated: Int = counts.get(Padded.at(1))
+    def propagated_=(q: Int): Unit = counts.set(Padded.at(1), q)
+    /** Seqs deleted from a non-merging index; written under expLock. */
+    private def expired: Int = counts.get(Padded.at(2))
+    private def expired_=(q: Int): Unit = counts.set(Padded.at(2), q)
+    /** Arrivals handed out before the index's current generation began,
+      * so its |T_I| is `count - genStart` once they are all indexed (a
+      * tree handed in with a non-empty T_I starts below 0). Guarded by
+      * queueLock.
+      */
+    private var genStart = if (pim == null) 0 else -pim.tiSize
     /** The generation a merge built, until it is installed. */
     private var built: pim.State = _
 
     /** This stream's arrivals handed out so far (written under queueLock). */
     @inline def count: Int = if (isR) assigned.r else assigned.s
 
+    /** Whether the arrivals handed out fill T_I to the m·w merge threshold
+      * (under queueLock).
+      */
+    def tiFull: Boolean = count - genStart >= pim.mergeThreshold
+
     def insert(key: Int, seq: Int): Unit = {
       idx.insert(key, seq)
       indexed.lazySet(seq & keys.mask, seq)
     }
 
-    /** Whether a task's worth of new seqs finds its ring slots free: the
-      * seqs they held must be older than every seq an in-flight probe, the
-      * edge advance or expiry can still read.
+    /** The oldest seq an in-flight probe, the edge advance or expiry can
+      * still read, as last seen under queueLock. It only grows, so a stale
+      * value is a safe bound, and `fits` reads the counts other threads
+      * write only when this one is too low.
       */
-    def fits: Boolean =
-      count + taskSize - keys.capacity <= math.min(edge.get, if (mergeCapable) propagated - w else expired)
+    private var oldestRead = 0
 
-    /** Edge-tuple advance with the paper's test-and-set fast path. */
+    /** Whether a task's worth of new seqs finds its ring slots free: the
+      * seqs they held must be older than `oldestRead` (under queueLock).
+      */
+    def fits: Boolean = {
+      val reused = count + taskSize - keys.capacity
+      reused <= oldestRead || {
+        oldestRead = math.min(edge, if (mergeCapable) propagated - w else expired)
+        reused <= oldestRead
+      }
+    }
+
+    /** Whether the edge tuple has been indexed, so the edge can move. */
+    private def edgeIndexed: Boolean = { val e = edge; indexed.get(e & keys.mask) == e }
+
+    /** Edge-tuple advance with the paper's test-and-set fast path, tested
+      * first: a worker reads the edge's indexed flag and takes the lock
+      * only if the edge can move. The holder tests again after unlocking,
+      * since a worker that indexed the new edge meanwhile may have found
+      * the lock held and moved on; an advance both miss is made on a later
+      * loop, as every worker runs this on each loop until the join drains.
+      */
     def advanceEdge(): Unit =
-      if (edgeLock.tryLock()) {
+      while (edgeIndexed && edgeLock.tryLock()) {
         try {
-          var e = edge.get
+          var e = edge
           while (indexed.get(e & keys.mask) == e) e += 1
-          edge.set(e)
+          edge = e
         } finally edgeLock.unlock()
       }
 
@@ -146,7 +195,7 @@ final class ParallelIBWJ(
       * results for in-flight older probes — a real race caught in tests.
       */
     def expire(): Unit =
-      if (expLock.tryLock()) {
+      while (expired < propagated - w && expLock.tryLock()) {
         try {
           val dead = propagated - w
           var e    = expired
@@ -166,12 +215,18 @@ final class ParallelIBWJ(
       * holding a newer seq was indexed, passed by the edge and reused.
       */
     def indexPending(head: Int): Unit = {
-      var q = edge.get
+      var q = edge
       while (q < head) {
         if (indexed.get(q & keys.mask) < q) insert(keys(q), q)
         q += 1
       }
     }
+
+    /** Count the next generation's T_I from the arrivals handed out so
+      * far: called at the quiescence that starts its merge, after which
+      * every arrival handed out goes into the next generation.
+      */
+    def startGeneration(): Unit = genStart = count
 
     def buildMerge(from: Int): Unit = built = pim.buildMergedState(from)
     def installMerge(): Unit = { pim.installState(built); built = null }
@@ -188,95 +243,120 @@ final class ParallelIBWJ(
   @inline private def side(isR: Boolean): Window = if (isR) winR else winS
 
   // ---- shared mutable state -------------------------------------------
-  private val queueLock = new ReentrantLock
-  private var nextAvail = 0 // guarded by queueLock
+  private val queueLock = new SpinLock
+  /** The first arrival not handed out (under queueLock) and the first task
+    * not propagated (under propLock).
+    */
+  private val cursors = Padded.ints(2)
+  @inline private def nextAvail: Int = cursors.get(Padded.at(0))
+  @inline private def propTask: Int  = cursors.get(Padded.at(1))
+  /** `propTask` as last seen under queueLock; like `oldestRead`, re-read
+    * only when a task's slot looks taken.
+    */
+  private var propagatedTasks = 0
   /** Stream counts of the arrivals handed out; guarded by queueLock. */
   private val assigned  = new Arrivals.Cursor(workload, selfJoin)
-  private val activeTasks = new AtomicInteger(0)
   @volatile private var assignmentBlocked = false
   @volatile private var indexUpdatesSuspended = false // nonblocking merge phase 1
+  /** Set under queueLock when a side's T_I is full, cleared when the merge
+    * that empties it quiesces: the one merge check a worker makes per loop.
+    */
+  @volatile private var mergeDue = false
   private val mergeOwner = new AtomicBoolean(false)
   // The first exception a worker threw (indexes and sinks are caller
-  // code). Once set, workers and the merger's quiescence wait stop, since
-  // the dead worker's arrivals never complete, and run() rethrows it.
+  // code), or the interrupt of run()'s caller. Once set, workers and the
+  // merger's quiescence wait stop, since the dead worker's arrivals never
+  // complete, and run() rethrows it.
   private val failure = new AtomicReference[Throwable](null)
 
-  private val propLock = new ReentrantLock
-  /** Tasks propagated so far; written under propLock. */
-  @volatile private var propTask = 0
+  private val propLock = new SpinLock
 
   // latency accounting (Fig. 10d): acquisition -> completion, nanos
   val latencySumNanos = new AtomicLong(0)
   val latencyCount    = new AtomicLong(0)
-
-  val resultCount = new AtomicLong(0)
 
   // ---------------------------------------------------------------- run
 
   /** Run the join to completion with `numThreads` workers; `sink` sees
     * results in arrival order (called only under the propagation lock).
     * If a worker throws (in an index or the sink), the others stop and
-    * the first such exception is rethrown here.
+    * the first such exception is rethrown here. So is the
+    * `InterruptedException` of a caller interrupted while it waits, which
+    * stops the workers the same way: a join that stops making progress
+    * can be ended from outside.
     */
   def run(sink: ResultSink): JoinStats = {
     val t0 = System.nanoTime()
     steadyStart = if (timedFrom == 0) t0 else 0
+    val results = new AtomicLong(0)
     val threads = (0 until numThreads).map { tid =>
-      val t = new Thread(() => try workerLoop(sink) catch { case e: Throwable => failure.compareAndSet(null, e) },
+      val t = new Thread(() =>
+                           try results.addAndGet(workerLoop(sink))
+                           catch { case e: Throwable => failure.compareAndSet(null, e) },
                          s"ibwj-worker-$tid")
       t.setDaemon(true)
       t.start()
       t
     }
-    threads.foreach(_.join())
+    try threads.foreach(_.join())
+    catch {
+      case e: InterruptedException =>
+        failure.compareAndSet(null, e)
+        threads.foreach(_.join())
+    }
     val end = System.nanoTime()
     if (failure.get != null) throw failure.get
     require(propTask == numTasks, s"join did not drain: propagated $propTask of $numTasks tasks")
     val from = if (steadyStart == 0) t0 else steadyStart
-    JoinStats(n - math.min(timedFrom, n), resultCount.get, end - from)
+    JoinStats(n - math.min(timedFrom, n), results.get, end - from)
   }
 
   // ------------------------------------------------------------ workers
 
-  private def workerLoop(sink: ResultSink): Unit = {
-    val hits = new LongVec(64)
-    var idle = 0
+  /** One worker's steps until the join drains; returns the number of
+    * results it propagated.
+    */
+  private def workerLoop(sink: ResultSink): Long = {
+    val hits    = new LongVec(64)
+    var emitted = 0L
+    var idle    = 0
     while (propTask < numTasks && failure.get == null) {
-      if (mergeCapable && !mergeOwner.get && sides.exists(_.pim.needsMerge) && mergeOwner.compareAndSet(false, true)) {
-        try runMerge()
+      if (mergeDue && !mergeOwner.get && mergeOwner.compareAndSet(false, true)) {
+        // only a merge clears mergeDue, and only its owner merges
+        try if (mergeDue) runMerge()
         finally mergeOwner.set(false)
       }
       val task = acquireTask()
       if (task >= 0) {
         processTask(task, hits)
-        activeTasks.decrementAndGet()
         idle = 0
       } else {
         pause(idle)
         idle += 1
       }
       sides.foreach(_.advanceEdge())
-      tryPropagate(sink)
+      emitted += tryPropagate(sink)
       if (!mergeCapable) sides.foreach(_.expire())
     }
     if (!mergeCapable) sides.foreach(_.expire())
+    emitted
   }
 
   /** Hands out the next task, stamping its arrivals and writing their
-    * keys to the rings; returns the task's number, or -1 when assignment
-    * is blocked, the stream is exhausted, or the task's ring slots are
-    * not free yet.
+    * keys to the rings, and raises `mergeDue` once they fill a side's T_I;
+    * returns the task's number, or -1 when assignment is blocked, the
+    * stream is exhausted, or the task's ring slots are not free yet.
     */
   private def acquireTask(): Int = {
     if (assignmentBlocked) return -1
     queueLock.lock()
     try {
       val t = nextAvail / taskSize
-      if (assignmentBlocked || nextAvail >= n || t - propTask >= taskSlots || !sides.forall(_.fits)) -1
+      if (assignmentBlocked || nextAvail >= n || !slotFree(t) || !sides.forall(_.fits)) -1
       else {
         val start = nextAvail
         val end   = math.min(n, start + taskSize)
-        nextAvail = end
+        cursors.set(Padded.at(0), end)
         if (steadyStart == 0 && start <= timedFrom && timedFrom < end)
           steadyStart = System.nanoTime()
         var i = start
@@ -289,12 +369,15 @@ final class ParallelIBWJ(
           i += 1
           a += 1
         }
-        // counted inside the lock so the merger's quiescence wait is exact
-        activeTasks.incrementAndGet()
+        if (mergeCapable && !mergeDue && sides.exists(_.tiFull)) mergeDue = true
         t
       }
     } finally queueLock.unlock()
   }
+
+  /** Whether task t's slot has been propagated (under queueLock). */
+  private def slotFree(t: Int): Boolean =
+    t - propagatedTasks < taskSlots || { propagatedTasks = propTask; t - propagatedTasks < taskSlots }
 
   /** Result generation + index update (steps 2–3) for task t's arrivals. */
   private def processTask(t: Int, hits: LongVec): Unit = {
@@ -313,7 +396,7 @@ final class ParallelIBWJ(
       val s   = arrivalSeq(a)
       val opp = side(s < 0)
       // the edge is read once, before probing: the probe splits at this snapshot
-      opp.probe(band, k, arrivalTl(a), opp.edge.get, hits, res)
+      opp.probe(band, k, arrivalTl(a), opp.edge, hits, res)
       resultEnds(a) = res.size
       // ---- index update; in merge phase 1 the merger inserts it later ----
       if (update) side(s >= 0).insert(k, if (s >= 0) s else ~s)
@@ -328,17 +411,28 @@ final class ParallelIBWJ(
       latencySumNanos.addAndGet(latency)
       latencyCount.addAndGet(end - start)
     }
-    completed.lazySet(slot, t)
+    completed.lazySet(Padded.at(slot), t)
   }
 
-  /** In-order result propagation (step 4), a completed task at a time;
-    * skipped if another thread holds the propagation mutex.
+  /** Whether task t has completed, for a t whose slot no later task has
+    * taken (t is at or after the first task not propagated, and handed out).
     */
-  private def tryPropagate(sink: ResultSink): Unit = {
-    if (propLock.tryLock()) {
+  private def done(t: Int): Boolean = completed.get(Padded.at(t & taskMask)) == t
+
+  /** Whether the next task to propagate has completed. */
+  private def propagatable: Boolean = { val t = propTask; t < numTasks && done(t) }
+
+  /** In-order result propagation (step 4), a completed task at a time;
+    * skipped if the next task has not completed or another thread holds
+    * the propagation mutex. Like the edge advance, the holder tests again
+    * after unlocking. Returns the number of results propagated.
+    */
+  private def tryPropagate(sink: ResultSink): Long = {
+    var emitted = 0L
+    while (propagatable && propLock.tryLock()) {
       try {
         var t = propTask
-        while (t < numTasks && completed.get(t & taskMask) == t) {
+        while (t < numTasks && done(t)) {
           val slot  = t & taskMask
           val res   = results(slot)
           val first = slot * stride
@@ -353,7 +447,7 @@ final class ParallelIBWJ(
             }
             a += 1
           }
-          resultCount.addAndGet(res.size.toLong)
+          emitted += res.size
           // the stream counts after the task are those after its last
           // arrival: t_l + 1 for the stream it probes, seq + 1 for its own
           // (written last: in a self-join the two are one side)
@@ -361,27 +455,37 @@ final class ParallelIBWJ(
           side(s < 0).propagated = arrivalTl(last) + 1
           side(s >= 0).propagated = (if (s >= 0) s else ~s) + 1
           t += 1
-          propTask = t
+          cursors.set(Padded.at(1), t)
         }
       } finally propLock.unlock()
     }
+    emitted
   }
 
   // ------------------------------------------------------------- merges
 
-  /** Block task assignment and wait until running tasks drain. */
+  /** Block task assignment and wait until every task handed out has
+    * completed, reading their status words in task order. Tasks before
+    * the propagated one have; the rest have distinct slots, which no
+    * later task reuses while assignment is blocked.
+    */
   private def quiesce(): Unit = {
     queueLock.lock()
-    try assignmentBlocked = true
-    finally queueLock.unlock()
+    val handedOut =
+      try { assignmentBlocked = true; (nextAvail + taskSize - 1) / taskSize }
+      finally queueLock.unlock()
+    var t     = propTask
     var spins = 0
-    while (activeTasks.get > 0 && failure.get == null) { pause(spins); spins += 1 }
+    while (t < handedOut && failure.get == null) {
+      if (done(t)) t += 1
+      else { pause(spins); spins += 1 }
+    }
   }
 
   private def resume(): Unit = assignmentBlocked = false
 
-  /** One merge: quiesce, pick the sides whose PIM-Trees need a merge,
-    * build their next generations, install them, resume, then index the
+  /** One merge: quiesce, pick the sides whose T_I is full, build their
+    * next generations, install them, resume, then index the
     * arrivals handed out while they were built. A nonblocking merge
     * (Section 4.2) resumes assignment for the build, with index updates
     * suspended, and quiesces again to install; a blocking one stalls
@@ -391,8 +495,10 @@ final class ParallelIBWJ(
     */
   private def runMerge(): Unit = {
     quiesce()
-    val merging = sides.filter(_.pim.needsMerge)
+    val merging = sides.filter(_.tiFull)
     val from    = merging.map(_.validFrom)
+    merging.foreach(_.startGeneration())
+    mergeDue = false
     if (nonblockingMerge) {
       indexUpdatesSuspended = true
       resume()
@@ -408,12 +514,3 @@ final class ParallelIBWJ(
   }
 }
 
-object ParallelIBWJ {
-  /** Busy-wait rounds before a waiting thread starts yielding its core,
-    * so idle workers do not starve busy ones when threads outnumber cores.
-    */
-  private val SpinRounds = 64
-
-  private def pause(round: Int): Unit =
-    if (round < SpinRounds) Thread.onSpinWait() else Thread.`yield`()
-}

@@ -1,13 +1,19 @@
 package repro.index
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicIntegerArray}
+
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropSupport
 import repro.core.{Elem, LongVec}
 
-class PIMTreeSpec extends AnyFunSuite {
+class PIMTreeSpec extends AnyFunSuite with PropSupport {
 
   private def collect(t: WindowIndex, lo: Int, hi: Int): Seq[(Int, Int)] = {
     val out = new LongVec()
@@ -217,5 +223,118 @@ class PIMTreeSpec extends AnyFunSuite {
     t.maintain(0)
     assert(t.mergeCount == 1)
     assert(t.totalMergeNanos > 0)
+  }
+
+  test("insert distribution has a slot per partition, past 4096, and follows each install") {
+    val t = new PIMTree(16, Int.MaxValue, ibFanout = 4, ibLeafSize = 2)
+    t.trackInsertDistribution(true)
+    (0 until 10).foreach(i => t.insert(i * 1000, i))
+    assert(t.insertDistribution.toSeq == Seq(10L)) // one partition before the first merge
+    (10 until (1 << 16)).foreach(i => t.insert(i * 1000, i))
+    t.merge(0)
+    val s     = t.currentState
+    val parts = s.numPartitions
+    assert(parts > 4096, s"partitions=$parts")
+    // resized at install: the one shared partition keeps its count
+    assert(t.insertDistribution.length == parts)
+    assert(t.insertDistribution(0) == (1 << 16) && t.insertDistribution.drop(1).forall(_ == 0))
+    // one more insert per partition, at its inclusive upper key
+    (0 until parts).foreach(p => t.insert(s.upper(p), (1 << 16) + p))
+    val dist = t.insertDistribution
+    assert(dist(0) == (1 << 16) + 1 && dist.drop(1).forall(_ == 1))
+  }
+
+  /** Writers insert planned elements while scanners search ranges that
+    * cross many small partitions, so every scan hands locks over. A scan
+    * must return every element whose insert finished before it began and
+    * only elements whose insert had begun by its end. Three in four of the
+    * writers' keys fall in one hot range of 64 keys, so the writers also
+    * contend for one subindex's lock.
+    */
+  private def concurrentScansHold(seed: Long, writers: Int, scanners: Int): Prop = {
+    val keySpace  = 1 << 16
+    val base      = 2000
+    val perWriter = 3000
+    val rnd       = new Random(seed)
+    // T_S holds refs [0, base); writer w inserts refs base + w·perWriter + j
+    val hot   = rnd.nextInt(keySpace - 64)
+    val keyOf = Array.tabulate(base + writers * perWriter) { r =>
+      if (r >= base && rnd.nextInt(4) > 0) hot + rnd.nextInt(64) else rnd.nextInt(keySpace)
+    }
+    val t     = new PIMTree(3, Int.MaxValue, bFanout = 4, ibFanout = 4, ibLeafSize = 4)
+    (0 until base).foreach(r => t.insert(keyOf(r), r))
+    t.merge(0)
+    val done     = new AtomicIntegerArray(writers) // inserts finished per writer
+    val finished = new AtomicBoolean(false)
+    val errors   = new ConcurrentLinkedQueue[String]
+    /** Whether ref r's insert had finished (`by` = inserts finished per writer). */
+    def inserted(r: Int, by: Int => Int): Boolean =
+      r < base || (r < keyOf.length && (r - base) % perWriter < by((r - base) / perWriter))
+
+    def scan(lo: Int, hi: Int): Unit = {
+      val before = Array.tabulate(writers)(done.get)
+      val out    = new LongVec()
+      t.rangeSearch(lo, hi, out)
+      // an insert in progress at the scan's end may show: allow one more per writer
+      val after = Array.tabulate(writers)(w => done.get(w) + 1)
+      val got   = (0 until out.size).map(i => (Elem.key(out(i)), Elem.ref(out(i))))
+      val refs  = got.map(_._2).toSet
+      got.find { case (k, r) => k < lo || k > hi || !inserted(r, after) || keyOf(r) != k }
+        .foreach(e => errors.add(s"[$lo, $hi] returned $e, which was not inserted with that key"))
+      if (refs.size != got.size) errors.add(s"[$lo, $hi] returned a duplicate")
+      (0 until keyOf.length).find(r => inserted(r, before) && keyOf(r) >= lo && keyOf(r) <= hi && !refs(r))
+        .foreach(r => errors.add(s"[$lo, $hi] missed ref $r, inserted before the scan began"))
+    }
+
+    /** A daemon thread whose exception is one more error. */
+    def thread(body: => Unit): Thread = {
+      val th = new Thread(() => try body catch { case e: Throwable => errors.add(s"a thread threw $e") })
+      th.setDaemon(true)
+      th
+    }
+    // a subindex corrupted by a broken lock can loop forever: fail instead
+    val deadline = System.nanoTime() + 60L * 1000000000L
+    def finish(threads: Seq[Thread]): Unit = threads.foreach { th =>
+      th.join(math.max(1L, (deadline - System.nanoTime()) / 1000000L))
+      if (th.isAlive) errors.add("a thread did not finish within 60 s")
+    }
+    val scanning = (0 until scanners).map { k =>
+      thread {
+        val r = new Random(seed + 100 + k)
+        while (!finished.get) {
+          val lo = r.nextInt(keySpace)
+          scan(lo, lo + r.nextInt(keySpace / 4))
+        }
+      }
+    }
+    val writing = (0 until writers).map { w =>
+      thread {
+        var j = 0
+        while (j < perWriter) {
+          val ref = base + w * perWriter + j
+          t.insert(keyOf(ref), ref)
+          j += 1
+          done.set(w, j)
+        }
+      }
+    }
+    scanning.foreach(_.start())
+    writing.foreach(_.start())
+    finish(writing)
+    finished.set(true)
+    finish(scanning)
+    if (errors.isEmpty) scan(0, Int.MaxValue) // the sequential model: everything, once
+    (t.currentState.numPartitions >= 16) :| s"partitions=${t.currentState.numPartitions}" &&
+      errors.isEmpty :| errors.peek &&
+      (t.tiSize == writers * perWriter) :| s"tiSize=${t.tiSize}"
+  }
+
+  test("property: concurrent writers and scanners agree with the sequential model") {
+    val cases = for {
+      seed     <- Gen.choose(1L, 1L << 30)
+      writers  <- Gen.choose(2, 4)
+      scanners <- Gen.choose(1, 4)
+    } yield (seed, writers, scanners)
+    checkProp(Prop.forAll(cases) { case (seed, w, s) => concurrentScansHold(seed, w, s) }, minSuccessful = 20)
   }
 }

@@ -1,17 +1,27 @@
 package repro.join
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
 
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimitedTests}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.{Seconds, Span}
 
 import repro.{PropSupport, StreamGen, TestRefs}
 import repro.core.LongVec
 import repro.index._
 
-class ParallelIBWJSpec extends AnyFunSuite with PropSupport {
+class ParallelIBWJSpec extends AnyFunSuite with PropSupport with TimeLimitedTests {
   import ParallelIBWJSpec.RingCase
+
+  // Every test, and so every join, runs under failAfter with this bound:
+  // a join that stops making progress fails its test instead of hanging
+  // the suite. The signaler interrupts the test thread, and run() ends its
+  // workers and rethrows when its caller is interrupted.
+  override val timeLimit: Span = Span(120, Seconds)
+  override val defaultTestSignaler: Signaler = ThreadSignaler
 
   private def workload(n: Int, keySpace: Int, seed: Long) =
     StreamGen.twoWay(StreamGen.uniform(n / 2, keySpace, seed),
@@ -155,6 +165,39 @@ class ParallelIBWJSpec extends AnyFunSuite with PropSupport {
     runner.join(10000)
     assert(!runner.isAlive, "run() did not return within 10 s of a worker failing")
     assert(thrown.get eq boom)
+  }
+
+  test("interrupting run's caller stops the workers, and run rethrows the interrupt") {
+    val w       = 128
+    val wl      = workload(4000, 1 << 12, 20)
+    val emits   = new AtomicLong(0)
+    val blocked = new CountDownLatch(1)
+    val release = new CountDownLatch(1)
+    // the first emit holds the propagation lock until released, so the
+    // join cannot finish meanwhile
+    val sink = new ResultSink {
+      def emit(rSeq: Int, sSeq: Int): Unit = {
+        if (emits.incrementAndGet() == 1) { blocked.countDown(); release.await() }
+      }
+    }
+    val join   = new ParallelIBWJ(wl, w, w, 20, pim(w), pim(w), 4, 8)
+    val thrown = new AtomicReference[Throwable]
+    val runner = new Thread(() =>
+      try { join.run(sink); () }
+      catch { case e: Throwable => thrown.set(e) })
+    runner.setDaemon(true)
+    runner.start()
+    assert(blocked.await(10, TimeUnit.SECONDS), "no result was emitted")
+    runner.interrupt()
+    Thread.sleep(50) // let run() record the interrupt before the join can go on
+    release.countDown()
+    runner.join(10000)
+    assert(!runner.isAlive, "run() did not return within 10 s of its caller being interrupted")
+    assert(thrown.get.isInstanceOf[InterruptedException], s"run() ended with ${thrown.get}")
+    val atReturn = emits.get
+    Thread.sleep(100)
+    assert(emits.get == atReturn, "workers kept emitting after run() returned")
+    assert(atReturn < TestRefs.referencePairs(wl, w, w, 20).size, "the workers ran the join to its end")
   }
 
   test("parallel equals single-threaded on a larger run (count + checksum)") {
