@@ -107,16 +107,20 @@ object ExperimentsCore {
     val n    = if (fast) 100000 else 250000
     val p    = threadsMax
     val b    = steadyTwoWay(w, n)
-    val rows = Seq(6, 4, 3, 2, 1, 0).map { negLogM =>
-      val m      = 1.0 / (1 << negLogM)
-      val im     = runSingle(() => imTree(w, m), b, w)
-      val pim    = runSingle(() => pimTree(w, m), b, w)
-      val par    = runParallel(() => pimPar(w, m), b, w, p)._1
+    val negLogMs = Seq(6, 4, 3, 2, 1, 0)
+    // the m values are compared with each other, so they are measured alike
+    val cells = alternatedMedians(negLogMs.flatMap { negLogM =>
+      val m = 1.0 / (1 << negLogM)
+      Seq(() => runSingle(() => imTree(w, m), b, w).throughput,
+          () => runSingle(() => pimTree(w, m), b, w).throughput,
+          () => runParallel(() => pimPar(w, m), b, w, p)._1.throughput)
+    })
+    val rows = negLogMs.indices.map { r =>
       Vector(
-        "m"              -> Text(s"2^-$negLogM"),
-        "IM-single"      -> Tps(im.throughput),
-        "PIM-single"     -> Tps(pim.throughput),
-        s"PIM-par-${p}t" -> Tps(par.throughput),
+        "m"              -> Text(s"2^-${negLogMs(r)}"),
+        "IM-single"      -> Tps(cells(3 * r)),
+        "PIM-single"     -> Tps(cells(3 * r + 1)),
+        s"PIM-par-${p}t" -> Tps(cells(3 * r + 2)),
       )
     }
     printTable(s"T4 (Figs 9a/9c/9d): throughput vs merge ratio, w=2^$logW", rows)
@@ -160,17 +164,21 @@ object ExperimentsCore {
   def singleThreaded(fast: Boolean = true): Seq[Row] = {
     val ws = if (fast) Seq(10, 12, 14, 16, 17) else Seq(10, 12, 14, 16, 18, 20)
     val n  = if (fast) 100000 else 250000
-    val rows = ws.map { logW =>
+    // the indexes are compared with each other, so they are measured alike;
+    // alternating the whole table, not one row at a time, also keeps every
+    // cell's runs apart from the slow first rounds after each new workload
+    val cells = alternatedMedians(ws.flatMap { logW =>
       val w = 1 << logW
       val b = steadyTwoWay(w, n)
-      val bp  = runSingle(() => bplus(), b, w)
-      val im  = runSingle(() => imTree(w, 1.0 / 8), b, w)
-      val pim = runSingle(() => pimTree(w, 1.0 / 8), b, w)
+      Seq[() => WindowIndex](() => bplus(), () => imTree(w, 1.0 / 8), () => pimTree(w, 1.0 / 8))
+        .map(mk => () => runSingle(mk, b, w).throughput)
+    })
+    val rows = ws.indices.map { r =>
       Vector(
-        "w"        -> Text(s"2^$logW"),
-        "B+-Tree"  -> Tps(bp.throughput),
-        "IM-Tree"  -> Tps(im.throughput),
-        "PIM-Tree" -> Tps(pim.throughput),
+        "w"        -> Text(s"2^${ws(r)}"),
+        "B+-Tree"  -> Tps(cells(3 * r)),
+        "IM-Tree"  -> Tps(cells(3 * r + 1)),
+        "PIM-Tree" -> Tps(cells(3 * r + 2)),
       )
     }
     printTable("T6 (Fig 10a): single-threaded IBWJ", rows)

@@ -98,19 +98,8 @@ object ExperimentsParallel {
     val configs = (Text("1 (no CC)"), twoWay(1, cc = false), self(1, cc = false)) +:
       Seq(1, 2, 4, 8, threadsMax).distinct.map(p => (Count(p), twoWay(p), self(p)))
 
-    // The cells are compared with each other, so they are measured alike:
-    // every configuration runs once untimed (JIT warm-up), then `Rounds`
-    // times, one run of each per round, and a cell is the median of its
-    // runs. Drift in the shared bench JVM and on a loaded host falls on
-    // every cell alike, and no single slow run decides a comparison. Each
-    // timed run starts after a full GC, so none pays for the garbage of
-    // the run before it: without that, 1-thread runs of one configuration
-    // read anywhere from 0.84M to 1.89M tuples/s within one table.
-    val Rounds = 7
-    val runners = configs.flatMap { case (_, two, self) => Seq(two, self) }
-    runners.foreach(_())
-    val runs  = Seq.fill(Rounds)(runners.map { run => System.gc(); run() })
-    val cells = runners.indices.map(c => runs.map(_(c)).sorted.apply(Rounds / 2))
+    // the cells are compared with each other, so they are measured alike
+    val cells = alternatedMedians(configs.flatMap { case (_, two, self) => Seq(two, self) })
     val (cc1Two, cc1Self) = (cells(2), cells(3))
     val rows = configs.indices.map { r =>
       val (two, self) = (cells(2 * r), cells(2 * r + 1))

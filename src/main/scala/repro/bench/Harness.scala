@@ -184,6 +184,25 @@ object Harness {
     (stats, join)
   }
 
+  /** Rounds of [[alternatedMedians]]. */
+  private val Rounds = 7
+
+  /** The median of each runner's measurements, taken alike so that cells
+    * compared with each other can be: every runner runs once untimed (JIT
+    * warm-up), then `Rounds` times, one run of each per round, and a cell
+    * is the median of its runs. Drift in the shared bench JVM and on a
+    * loaded host falls on every cell alike, and no single slow run decides
+    * a comparison. Each timed run starts after a full GC, so none pays for
+    * the garbage of the run before it: without that, 1-thread T12 runs of
+    * one configuration read anywhere from 0.84M to 1.89M tuples/s within
+    * one table.
+    */
+  def alternatedMedians(runners: Seq[() => Double]): Seq[Double] = {
+    runners.foreach(_())
+    val runs = Seq.fill(Rounds)(runners.map { run => System.gc(); run() })
+    runners.indices.map(c => runs.map(_(c)).sorted.apply(Rounds / 2))
+  }
+
   def truncate(wl: Workload, n: Int): Workload =
     Workload(wl.fromR.take(n), wl.keys.take(n))
 }

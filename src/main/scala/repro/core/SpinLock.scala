@@ -1,8 +1,8 @@
 package repro.core
 
 /** A test-and-test-and-set lock for the short critical sections of the
-  * PIM-Tree subindexes (Section 3.3) and the parallel join's queue, edge,
-  * propagation and expiry locks (Section 4.1). A waiter reads the lock
+  * PIM-Tree subindexes (Section 3.3) and the parallel join's queue, edge
+  * and propagation locks (Section 4.1). A waiter reads the lock
   * word until it looks free and only then tries to take it, so waiters
   * spin in their own caches instead of bouncing the line (Anderson, IEEE
   * TPDS 1990; Mellor-Crummey & Scott, ACM TOCS 1991). It waits by

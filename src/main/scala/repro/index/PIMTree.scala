@@ -152,28 +152,23 @@ final class PIMTree(
       p += 1
     }
 
-    // T_S survivors (expired entries dropped here, nowhere else)
-    val old   = s.ts.leaves
-    val tsArr = new Array[Long](old.length)
-    var m     = 0
-    var i     = 0
-    while (i < old.length) {
-      if (Elem.ref(old(i)) >= validFrom) { tsArr(m) = old(i); m += 1 }
-      i += 1
-    }
+    // T_S survivors: expired entries are dropped here, nowhere else
+    val old = s.ts.leaves
+    var m   = 0
+    var i   = 0
+    while (i < old.length) { if (Elem.ref(old(i)) >= validFrom) m += 1; i += 1 }
 
-    // merge the two key-sorted runs
+    // merge the survivors, skipping expired entries, with the T_I run
     val merged = new Array[Long](m + n)
     var a      = 0
     var b      = 0
     var o      = 0
-    while (a < m && b < n) {
-      if (Elem.key(tsArr(a)) <= Elem.key(tiArr(b))) { merged(o) = tsArr(a); a += 1 }
+    while (o < merged.length) {
+      while (a < old.length && Elem.ref(old(a)) < validFrom) a += 1
+      if (b == n || (a < old.length && Elem.key(old(a)) <= Elem.key(tiArr(b)))) { merged(o) = old(a); a += 1 }
       else { merged(o) = tiArr(b); b += 1 }
       o += 1
     }
-    while (a < m) { merged(o) = tsArr(a); a += 1; o += 1 }
-    while (b < n) { merged(o) = tiArr(b); b += 1; o += 1 }
 
     val st = new State(ImmutableBPlusTree.build(merged, ibFanout, ibLeafSize))
     totalMergeNanos += System.nanoTime() - t0

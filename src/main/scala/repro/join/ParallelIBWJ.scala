@@ -1,6 +1,6 @@
 package repro.join
 
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicIntegerArray, AtomicLong, AtomicReference}
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong, AtomicReference}
 
 import repro.StreamGen.Workload
 import repro.core.{Arrivals, Band, IntVec, KeyRing, LongVec, Padded, SpinLock}
@@ -23,10 +23,13 @@ import repro.index.{PIMTree, WindowIndex}
   *  - edge advance and result propagation use try-lock fast paths so a
   *    busy mutex never stalls a worker, and test their next status word
   *    before touching the lock;
-  *  - merges run under task-assignment quiescence; the nonblocking
-  *    variant (Section 4.2) builds the next index generation while
-  *    workers keep joining in no-index-update mode, then swaps and
-  *    applies the pending inserts.
+  *  - propagation is where an arrival's effects become final, so it is
+  *    also where a non-merging index (the Bw-Tree baseline) loses the
+  *    tuples that arrival pushed out of every window still probed;
+  *  - merges run under task-assignment quiescence, owned by the worker
+  *    whose hand-out filled T_I; the nonblocking variant (Section 4.2)
+  *    builds the next index generation while workers keep joining in
+  *    no-index-update mode, then swaps and applies the pending inserts.
   *
   * State is bounded by the windows and the tasks in flight, not by the
   * stream (Section 4.1's circular buffers): each stream's side (a
@@ -34,8 +37,7 @@ import repro.index.{PIMTree, WindowIndex}
   * by `seq & mask`, and each task in flight has one slot of a task ring
   * holding its completion stamp and its results. A task is handed out
   * only when its slot and the ring slots its seqs take are free;
-  * otherwise the workers propagate, advance edges and expire until they
-  * are.
+  * otherwise the workers propagate and advance edges until they are.
   *
   * Every lock is a [[SpinLock]] and every wait spins, then yields, by
   * `SpinLock.pause`; nothing parks. No counter that all workers write is
@@ -47,9 +49,8 @@ import repro.index.{PIMTree, WindowIndex}
   * edge and counts) has a cache line of its own ([[Padded]]), away from
   * the fields every worker reads on each step.
   *
-  * Works over any thread-safe [[WindowIndex]]; merge coordination applies
-  * when both indexes are [[PIMTree]]s, incremental expiry is used when
-  * neither is (the Bw-Tree baseline).
+  * Works over any thread-safe [[WindowIndex]]; merges apply when both
+  * indexes are [[PIMTree]]s, incremental expiry when neither is.
   */
 final class ParallelIBWJ(
     workload: Workload,
@@ -113,20 +114,32 @@ final class ParallelIBWJ(
     val pim: PIMTree = idx match { case p: PIMTree => p; case _ => null }
     /** Seq last indexed in each slot: q is indexed iff slot q & mask reads q. */
     val indexed = new AtomicIntegerArray(Array.fill(keys.capacity)(-1))
-    /** The edge, propagated and expired counts below. */
-    private val counts   = Padded.ints(3)
+    /** The edge and propagated counts below. */
+    private val counts   = Padded.ints(2)
     private val edgeLock = new SpinLock
-    private val expLock  = new SpinLock
 
     /** Earliest seq not yet indexed (the edge tuple); written under edgeLock. */
     @inline def edge: Int = counts.get(Padded.at(0))
     private def edge_=(q: Int): Unit = counts.set(Padded.at(0), q)
     /** Seqs whose arrivals have been propagated; written under propLock. */
     @inline def propagated: Int = counts.get(Padded.at(1))
-    def propagated_=(q: Int): Unit = counts.set(Padded.at(1), q)
-    /** Seqs deleted from a non-merging index; written under expLock. */
-    private def expired: Int = counts.get(Padded.at(2))
-    private def expired_=(q: Int): Unit = counts.set(Padded.at(2), q)
+
+    /** Publish q as the propagated count (under propLock), first deleting
+      * from a non-merging index the seqs in [propagated - w, q - w), whose
+      * keys `fits` keeps in the ring. Seq e is dead once this stream's
+      * arrival e + w has been propagated: every probe whose window can hold
+      * e comes before that arrival, and propagation is in arrival order.
+      * Deleting eagerly instead loses results for in-flight older probes,
+      * a real race caught in tests.
+      */
+    def propagated_=(q: Int): Unit = {
+      if (pim == null) {
+        var e = math.max(0, propagated - w)
+        while (e < q - w) { idx.expire(keys(e), e); e += 1 }
+      }
+      counts.set(Padded.at(1), q)
+    }
+
     /** Arrivals handed out before the index's current generation began,
       * so its |T_I| is `count - genStart` once they are all indexed (a
       * tree handed in with a non-empty T_I starts below 0). Guarded by
@@ -162,7 +175,7 @@ final class ParallelIBWJ(
     def fits: Boolean = {
       val reused = count + taskSize - keys.capacity
       reused <= oldestRead || {
-        oldestRead = math.min(edge, if (mergeCapable) propagated - w else expired)
+        oldestRead = math.min(edge, propagated - w)
         reused <= oldestRead
       }
     }
@@ -184,24 +197,6 @@ final class ParallelIBWJ(
           while (indexed.get(e & keys.mask) == e) e += 1
           edge = e
         } finally edgeLock.unlock()
-      }
-
-    /** Delete tuples proven dead by the propagation barrier — non-merging
-      * shared indexes only. A tuple with stream seq e may only be deleted
-      * once every probe whose window can contain it has finished: those
-      * are exactly the arrivals before the own-stream arrival with seq
-      * e + w, so e is dead once that arrival has been propagated
-      * (propagation is in arrival order). Deleting eagerly instead loses
-      * results for in-flight older probes — a real race caught in tests.
-      */
-    def expire(): Unit =
-      while (expired < propagated - w && expLock.tryLock()) {
-        try {
-          val dead = propagated - w
-          var e    = expired
-          while (e < dead) { idx.expire(keys(e), e); e += 1 }
-          expired = e
-        } finally expLock.unlock()
       }
 
     /** Earliest live ref given the tuples handed out (head = assigned - 1,
@@ -258,11 +253,13 @@ final class ParallelIBWJ(
   private val assigned  = new Arrivals.Cursor(workload, selfJoin)
   @volatile private var assignmentBlocked = false
   @volatile private var indexUpdatesSuspended = false // nonblocking merge phase 1
-  /** Set under queueLock when a side's T_I is full, cleared when the merge
-    * that empties it quiesces: the one merge check a worker makes per loop.
+  /** The task whose hand-out found a side's T_I full, or -1: set under
+    * queueLock while it is -1, so only that task's worker reads its own
+    * task here. That worker runs the merge after processing the task, and
+    * writes -1 only once the merge has replayed its pending inserts, so no
+    * second merge reads a T_I the first is still filling.
     */
-  @volatile private var mergeDue = false
-  private val mergeOwner = new AtomicBoolean(false)
+  @volatile private var mergeTask = -1
   // The first exception a worker threw (indexes and sinks are caller
   // code), or the interrupt of run()'s caller. Once set, workers and the
   // merger's quiescence wait stop, since the dead worker's arrivals never
@@ -321,14 +318,10 @@ final class ParallelIBWJ(
     var emitted = 0L
     var idle    = 0
     while (propTask < numTasks && failure.get == null) {
-      if (mergeDue && !mergeOwner.get && mergeOwner.compareAndSet(false, true)) {
-        // only a merge clears mergeDue, and only its owner merges
-        try if (mergeDue) runMerge()
-        finally mergeOwner.set(false)
-      }
       val task = acquireTask()
       if (task >= 0) {
         processTask(task, hits)
+        if (task == mergeTask) runMerge()
         idle = 0
       } else {
         pause(idle)
@@ -336,16 +329,15 @@ final class ParallelIBWJ(
       }
       sides.foreach(_.advanceEdge())
       emitted += tryPropagate(sink)
-      if (!mergeCapable) sides.foreach(_.expire())
     }
-    if (!mergeCapable) sides.foreach(_.expire())
     emitted
   }
 
   /** Hands out the next task, stamping its arrivals and writing their
-    * keys to the rings, and raises `mergeDue` once they fill a side's T_I;
-    * returns the task's number, or -1 when assignment is blocked, the
-    * stream is exhausted, or the task's ring slots are not free yet.
+    * keys to the rings, and makes it the `mergeTask` if they fill a side's
+    * T_I while no merge is under way; returns the task's number, or -1
+    * when assignment is blocked, the stream is exhausted, or the task's
+    * ring slots are not free yet.
     */
   private def acquireTask(): Int = {
     if (assignmentBlocked) return -1
@@ -369,7 +361,7 @@ final class ParallelIBWJ(
           i += 1
           a += 1
         }
-        if (mergeCapable && !mergeDue && sides.exists(_.tiFull)) mergeDue = true
+        if (mergeCapable && mergeTask < 0 && sides.exists(_.tiFull)) mergeTask = t
         t
       }
     } finally queueLock.unlock()
@@ -484,9 +476,10 @@ final class ParallelIBWJ(
 
   private def resume(): Unit = assignmentBlocked = false
 
-  /** One merge: quiesce, pick the sides whose T_I is full, build their
-    * next generations, install them, resume, then index the
-    * arrivals handed out while they were built. A nonblocking merge
+  /** One merge, run by the worker of `mergeTask`: quiesce, pick the sides
+    * whose T_I is full, build their next generations, install them,
+    * resume, index the arrivals handed out while they were built, then
+    * let a later hand-out trigger the next merge. A nonblocking merge
     * (Section 4.2) resumes assignment for the build, with index updates
     * suspended, and quiesces again to install; a blocking one stalls
     * throughout, so no arrival is handed out meanwhile. Every arrival
@@ -498,7 +491,6 @@ final class ParallelIBWJ(
     val merging = sides.filter(_.tiFull)
     val from    = merging.map(_.validFrom)
     merging.foreach(_.startGeneration())
-    mergeDue = false
     if (nonblockingMerge) {
       indexUpdatesSuspended = true
       resume()
@@ -511,6 +503,7 @@ final class ParallelIBWJ(
     resume()
     sides.indices.foreach(k => sides(k).indexPending(heads(k)))
     sides.foreach(_.advanceEdge())
+    mergeTask = -1
   }
 }
 

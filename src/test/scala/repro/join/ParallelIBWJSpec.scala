@@ -136,6 +136,22 @@ class ParallelIBWJSpec extends AnyFunSuite with PropSupport with TimeLimitedTest
     assert(sink.pairs.sorted.toVector == ref.sorted)
   }
 
+  test("once the join drains, each Bw-Tree holds its stream's last window and nothing older") {
+    val keys = StreamGen.uniform(3000, 1 << 10, 21)
+    def bw(w: Int) = new BwTree(1 << 10, 2 * w, targetLeafSize = 16)
+    for (threads <- Seq(1, 4); selfJoin <- Seq(false, true)) {
+      val wl       = if (selfJoin) StreamGen.selfJoin(keys) else workload(3000, 1 << 10, 21)
+      val (wR, wS) = if (selfJoin) (64, 64) else (32, 256)
+      val iR       = bw(wR)
+      val iS       = if (selfJoin) iR else bw(wS)
+      new ParallelIBWJ(wl, wR, wS, 10, iR, iS, threads, 8, selfJoin).run(new CountingSink)
+      val rArrivals = wl.fromR.count(identity)
+      val label     = s"threads=$threads selfJoin=$selfJoin"
+      assert(iR.size == math.min(wR, rArrivals), label)
+      if (!selfJoin) assert(iS.size == math.min(wS, wl.length - rArrivals), label)
+    }
+  }
+
   test("a worker exception stops the join and run rethrows it") {
     val w       = 128
     val wl      = workload(4000, 1 << 12, 18)
